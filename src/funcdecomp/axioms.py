@@ -24,11 +24,11 @@ import numpy as np
 
 from . import decomp
 from .core import (
+    ORIGIN_TOLERANCE,
     Permutation,
     Point,
     full_mask,
     inverse_permutation,
-    mask_cardinality,
     permute,
     project,
 )
@@ -44,7 +44,16 @@ from .expr import (
     compose_permutation,
     linear_combine,
 )
-from .game import Allocation, Game, add_games, game_from_binary_function, permute_game, shapley, shapley_weight
+from .game import (
+    Allocation,
+    Game,
+    add_games,
+    game_from_binary_function,
+    permute_game,
+    shapley,
+    shapley_weight,
+    weighted_marginals,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -299,20 +308,13 @@ def check_A9_reparameterization(principle: Principle, fn: FunctionHandle,
 # Game axioms (S1-S3) and their binary-function counterparts (T1-T4)
 
 
+def _skewed_weight(d: int, size: int) -> float:
+    return shapley_weight(d, size) * (1.0 + 0.1 * size)
+
+
 def perturbed_shapley(game: Game) -> Allocation:
     """Deliberately wrong allocator (size-skewed weights); negative control."""
-    d = game.d
-    shares = [0.0] * d
-    for mask in range(1, 1 << d):
-        size = mask_cardinality(mask)
-        w = shapley_weight(d, size) * (1.0 + 0.1 * size)
-        v = game.values[mask]
-        m = mask
-        while m:
-            low = m & -m
-            shares[low.bit_length() - 1] += w * (v - game.values[mask ^ low])
-            m ^= low
-    return Allocation(tuple(shares))
+    return Allocation(tuple(weighted_marginals(game.values, game.d, _skewed_weight).tolist()))
 
 
 def _binary_mask(y: Sequence[float]) -> int:
@@ -537,13 +539,16 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
                        coeff_range: tuple[float, float],
                        allow_constant: bool) -> ExpressionFunction:
     lo, hi = coeff_range
+    # Exponent vectors are uniform over the admissible ones: draw the total
+    # degree s with probability proportional to the number C(s+d-1, d-1) of
+    # vectors summing to s, then one of those uniformly (stars and bars).
+    degrees = np.arange(0 if allow_constant else 1, degree + 1)
+    counts = np.array([math.comb(int(s) + d - 1, d - 1) for s in degrees], dtype=float)
     parts = []
     for _ in range(n_terms):
-        while True:
-            q = rng.integers(0, degree + 1, size=d)
-            total = int(q.sum())
-            if total <= degree and (allow_constant or total >= 1):
-                break
+        s = int(rng.choice(degrees, p=counts / counts.sum()))
+        bars = np.sort(rng.choice(s + d - 1, size=d - 1, replace=False))
+        q = np.diff(np.concatenate([[-1], bars, [s + d - 1]])) - 1
         coef = float(rng.uniform(lo, hi))
         factors = [f"x{i + 1}^{int(qi)}" for i, qi in enumerate(q) if qi > 0]
         parts.append(f"{coef!r}" + ("" if not factors else " * " + " * ".join(factors)))
@@ -689,7 +694,7 @@ def run_axiom_suite(principle: Principle, config: SuiteConfig = SuiteConfig(),
     for k, fn in enumerate(corpus):
         points = sample_points(fn.d, config.n_points, *config.point_range,
                                seed=config.seed + 7919 * k)
-        if principle.requires_zero_origin and abs(_origin_value(fn)) > decomp.ORIGIN_TOLERANCE:
+        if principle.requires_zero_origin and abs(_origin_value(fn)) > ORIGIN_TOLERANCE:
             add(fn.label, "admissibility", AxiomVerdict(
                 "admissibility", PARTIAL, math.nan, tol, (),
                 f"{principle.name} requires a vanishing origin value; function skipped"))
@@ -729,7 +734,7 @@ def run_axiom_suite(principle: Principle, config: SuiteConfig = SuiteConfig(),
     direction = ExpressionFunction("x1", 2)
     a7_points = sample_points(2, min(config.n_points, 20), *config.point_range,
                               seed=config.seed + 1)
-    if not principle.requires_zero_origin or abs(_origin_value(base_fn)) <= decomp.ORIGIN_TOLERANCE:
+    if not principle.requires_zero_origin or abs(_origin_value(base_fn)) <= ORIGIN_TOLERANCE:
         add(base_fn.label, "coefficients 1..1e-3",
             check_A7_continuity_of_delta(principle, base_fn, direction,
                                          [1.0, 0.1, 0.01, 0.001], a7_points, tol))

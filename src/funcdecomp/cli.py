@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import axioms, decomp, demo, montecarlo
 from .core import (
     EXACT_SUBSET_CAP,
@@ -28,7 +30,7 @@ from .core import (
     permutation_from_ranks,
     project,
 )
-from .expr import EvaluationError, ExpressionFunction, FunctionHandle, NativeFunction, ParseError, TableFunction
+from .expr import EvaluationError, ExpressionFunction, FunctionHandle, ParseError, TableFunction
 from .game import GameFormatError, game_from_json, shapley
 
 EXIT_OK = 0
@@ -148,11 +150,12 @@ def _read_mask_table(path: str, d: int) -> dict[int, float]:
 
 
 def _dump_mask_table(path: str, fn: FunctionHandle, x: Sequence[float]) -> None:
+    values = fn.evaluate_masks(x, np.arange(1 << fn.d)).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mask", "value"])
-        for mask in range(1 << fn.d):
-            writer.writerow([_mask_key(mask), repr(fn(project(x, mask)))])
+        for mask, value in enumerate(values):
+            writer.writerow([_mask_key(mask), repr(value)])
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +258,10 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
             res = decomp.pointwise_shapley(fn, x)
         elif method == "delta-star":
             res = decomp.delta_star(fn, x)
-        elif method == "mc":
-            report = montecarlo.estimate_as(fn, x, args.samples, args.seed,
-                                            workers=args.workers)
+        elif method in ("mc", "mc-delta-star"):
+            estimator = (montecarlo.estimate_as if method == "mc"
+                         else montecarlo.estimate_delta_star)
+            report = estimator(fn, x, args.samples, args.seed, workers=args.workers)
             total = fn(x)
             rows.append({
                 "x": list(x),
@@ -266,24 +270,8 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
                 "total": total,
                 "residual": abs(total - report.total),
             })
-            meta.update({"method": f"monte_carlo(seed={report.seed}, n={report.n_samples})"})
-            continue
-        elif method == "mc-delta-star":
-            base = fn((0.0,) * d)
-            centered = NativeFunction(lambda y: fn(y) - base, d, label=fn.label)
-            report = montecarlo.estimate_as(centered, x, args.samples, args.seed,
-                                            workers=args.workers)
-            contributions = [v + base / d for v in report.estimate]
-            total = fn(x)
-            rows.append({
-                "x": list(x),
-                "contributions": contributions,
-                "standard_error": list(report.standard_error),
-                "total": total,
-                "residual": abs(total - math.fsum(contributions)),
-            })
-            meta.update({"method": f"monte_carlo_delta_star(seed={report.seed}, "
-                                   f"n={report.n_samples})"})
+            name = "monte_carlo" if method == "mc" else "monte_carlo_delta_star"
+            meta.update({"method": f"{name}(seed={report.seed}, n={report.n_samples})"})
             continue
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -345,8 +333,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_shapley(args: argparse.Namespace) -> int:
     with open(args.game) as fh:
-        data = json.load(fh)
-    game = game_from_json(data)
+        game = game_from_json(json.load(fh))  # the parsed JSON is freed before the kernel runs
     allocation = shapley(game)
     meta = {"method": "shapley", "d": game.d, "game": os.path.basename(args.game)}
     _write_output(
@@ -505,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", help="activation ranks for --method sequential, e.g. 2,1,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility (>= 1); sampling runs in one "
+                        "thread and the result is the same for any value")
     p.add_argument("--dump-table", help="also write the masked evaluations to this CSV")
     _add_common_output(p)
     p.set_defaults(handler=cmd_decompose)

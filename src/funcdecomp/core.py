@@ -25,6 +25,14 @@ Permutation = tuple[int, ...]
 # worst case tractable (~10^6 subset evaluations, ~3.6*10^6 orderings).
 EXACT_SUBSET_CAP = 20
 EXACT_PERMUTATION_CAP = 10
+# Order sampling carries subsets as int64 bitmasks, which hold coordinates
+# 1..63 (bit 63 is the sign bit).
+MASK_DIMENSION_CAP = 63
+
+# How far from zero the origin value may be for methods and games that
+# require F(0) = 0: values read off a float-valued model cannot be held to
+# exact equality.
+ORIGIN_TOLERANCE = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -43,7 +51,7 @@ def validate_dimension(d: int, cap: int | None = None) -> int:
     if not isinstance(d, int) or d < 1:
         raise DimensionMismatchError(f"dimension must be a positive integer, got {d!r}")
     if cap is not None and d > cap:
-        raise DimensionMismatchError(f"dimension {d} exceeds the exact-method cap {cap}")
+        raise DimensionMismatchError(f"dimension {d} exceeds the cap {cap} of this method")
     return d
 
 
@@ -89,6 +97,24 @@ def validate_mask(mask: int, d: int) -> int:
     if mask < 0 or mask >> d:
         raise DimensionMismatchError(f"mask {mask:#x} has bits beyond dimension {d}")
     return mask
+
+
+def validate_masks(masks: Iterable[int], d: int) -> np.ndarray:
+    """Freeze a sequence of subset masks into a 1-D array, rejecting any
+    mask with bits beyond dimension ``d``.  The array is int64 up to
+    ``MASK_DIMENSION_CAP`` and holds Python ints above it."""
+    if not isinstance(masks, np.ndarray):
+        masks = list(masks)
+    try:
+        arr = np.asarray(masks, dtype=np.int64 if d <= MASK_DIMENSION_CAP else object)
+    except OverflowError:  # a mask too wide for int64 is reported below
+        arr = np.asarray(masks, dtype=object)
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"masks must form a 1-D sequence, got shape {arr.shape}")
+    bad = (arr < 0) | (arr >> d != 0)
+    if bad.any():
+        validate_mask(int(arr[bad.argmax()]), d)
+    return arr
 
 
 def mask_from_indices(indices: Iterable[int], d: int) -> int:

@@ -4,39 +4,38 @@ to functions that do not vanish at the origin, and the per-point Shapley
 construction.
 
 All methods evaluate the target function only on the projected family
-{p_I(x)}; a per-call memo keyed by subset bitmask keeps black-box
-evaluations to at most 2^d.
+{p_I(x)}, through one ``evaluate_masks`` call per point: the d+1 masks of
+one activation order, or the full table of 2^d masks combined by one
+weighted-marginals kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import game as game_mod
 from .core import (
     EXACT_PERMUTATION_CAP,
     EXACT_SUBSET_CAP,
+    ORIGIN_TOLERANCE,
     DimensionMismatchError,
     NonzeroOriginError,
     Permutation,
     Point,
     as_point,
-    full_mask,
-    hadamard,
     identity_permutation,
     inverse_permutation,
-    mask_cardinality,
     permutation_average_marginals,
-    project,
     ranks_from_permutation,
     validate_dimension,
 )
-from .expr import FunctionHandle, NativeFunction
-
-# How far from zero the origin value may be for methods that require F(0)=0.
-ORIGIN_TOLERANCE = 1e-12
+from .expr import FunctionHandle
 
 
 @dataclass(frozen=True)
@@ -57,34 +56,24 @@ class DecompositionResult:
         return abs(self.total - math.fsum(self.contributions))
 
 
-class _MaskEvaluator:
-    """Memoized evaluation of F on the projected points of one x."""
-
-    def __init__(self, fn: FunctionHandle, x: Point) -> None:
-        self.fn = fn
-        self.x = x
-        self.cache: dict[int, float] = {}
-
-    def value(self, mask: int) -> float:
-        v = self.cache.get(mask)
-        if v is None:
-            v = self.fn(project(self.x, mask))
-            self.cache[mask] = v
-        return v
-
-    def full_table(self, d: int) -> list[float]:
-        return [self.value(mask) for mask in range(1 << d)]
-
-
-def _prepare(fn: FunctionHandle, x: Sequence[float],
-             cap: int | None) -> tuple[Point, _MaskEvaluator]:
+def _validated(fn: FunctionHandle, x: Sequence[float], cap: int | None) -> Point:
     point = as_point(x, fn.d)
     validate_dimension(fn.d, cap)
-    return point, _MaskEvaluator(fn, point)
+    return point
 
 
-def _require_zero_origin(ev: _MaskEvaluator, method: str) -> float:
-    v0 = ev.value(0)
+def _table(fn: FunctionHandle, point: Point) -> np.ndarray:
+    """F on all 2^d projections of the point, indexed by mask."""
+    return fn.evaluate_masks(point, np.arange(1 << fn.d))
+
+
+def _origin_value(fn: FunctionHandle, point: Point) -> float:
+    return float(fn.evaluate_masks(point, [0])[0])
+
+
+def _require_zero_origin(fn: FunctionHandle, point: Point, method: str) -> float:
+    """F(0), checked before any other projection is evaluated."""
+    v0 = _origin_value(fn, point)
     if abs(v0) > ORIGIN_TOLERANCE:
         raise NonzeroOriginError(
             f"{method} needs F to vanish at the origin, got {v0!r}; "
@@ -107,17 +96,17 @@ def sequential(fn: FunctionHandle, x: Sequence[float],
         perm = identity_permutation(d)
     if len(perm) != d:
         raise DimensionMismatchError(f"permutation length {len(perm)} != d {d}")
-    point, ev = _prepare(fn, x, cap=None)  # d+1 evaluations, no cap needed
-    prev = _require_zero_origin(ev, "sequential")
+    point = _validated(fn, x, cap=None)  # d+1 evaluations, no cap needed
+    prev = _require_zero_origin(fn, point, "sequential")
+    order = inverse_permutation(perm)  # coordinate activated at each step
+    chain = list(itertools.accumulate((1 << coord for coord in order), operator.or_))
+    values = fn.evaluate_masks(point, chain).tolist()
     contributions = [0.0] * d
-    mask = 0
-    for coord in inverse_permutation(perm):  # coordinate activated at each step
-        mask |= 1 << coord
-        cur = ev.value(mask)
+    for coord, cur in zip(order, values):
         contributions[coord] = cur - prev
         prev = cur
     return DecompositionResult(
-        point, tuple(contributions), ev.value(full_mask(d)),
+        point, tuple(contributions), values[-1],
         method=f"sequential{ranks_from_permutation(perm)}",
     )
 
@@ -125,29 +114,13 @@ def sequential(fn: FunctionHandle, x: Sequence[float],
 def as_permutation(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Averaged sequential contributions: the exact mean of `sequential`
     over all d! activation orders, via full enumeration."""
-    point, ev = _prepare(fn, x, cap=EXACT_PERMUTATION_CAP)
-    _require_zero_origin(ev, "as_permutation")
-    d = fn.d
-    marginals = permutation_average_marginals(ev.full_table(d), d)
+    point = _validated(fn, x, EXACT_PERMUTATION_CAP)
+    _require_zero_origin(fn, point, "as_permutation")
+    table = _table(fn, point)
+    marginals = permutation_average_marginals(table, fn.d)
     return DecompositionResult(
-        point, tuple(float(v) for v in marginals), ev.value(full_mask(d)),
-        method="as_permutation",
+        point, tuple(marginals.tolist()), float(table[-1]), method="as_permutation",
     )
-
-
-def _subset_weighted_contributions(ev: _MaskEvaluator, d: int) -> list[float]:
-    contributions = [0.0] * d
-    values = ev.full_table(d)
-    for mask in range(1, 1 << d):
-        w = game_mod.shapley_weight(d, mask_cardinality(mask))
-        v = values[mask]
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            contributions[i] += w * (v - values[mask ^ low])
-            m ^= low
-    return contributions
 
 
 def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -155,12 +128,12 @@ def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     coordinate sums its weighted switch-on differences F(p_I x) - F(p_{I-i} x)
     over the subsets containing it.  Equal to `as_permutation` without
     enumerating orderings (2^d instead of d! terms)."""
-    point, ev = _prepare(fn, x, cap=EXACT_SUBSET_CAP)
-    _require_zero_origin(ev, "as_subset")
-    d = fn.d
-    contributions = _subset_weighted_contributions(ev, d)
+    point = _validated(fn, x, EXACT_SUBSET_CAP)
+    _require_zero_origin(fn, point, "as_subset")
+    table = _table(fn, point)
+    contributions = game_mod.weighted_marginals(table, fn.d)
     return DecompositionResult(
-        point, tuple(contributions), ev.value(full_mask(d)), method="as_subset",
+        point, tuple(contributions.tolist()), float(table[-1]), method="as_subset",
     )
 
 
@@ -169,24 +142,21 @@ def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     origin value is split evenly across the d coordinates and the rest is
     attributed like `as_subset`.  Restricted to functions vanishing at the
     origin this coincides with the averaged sequential decomposition."""
-    point, ev = _prepare(fn, x, cap=EXACT_SUBSET_CAP)
-    d = fn.d
-    fixed = ev.value(0) / d
-    contributions = [fixed + c for c in _subset_weighted_contributions(ev, d)]
+    point = _validated(fn, x, EXACT_SUBSET_CAP)
+    table = _table(fn, point)
+    contributions = table[0] / fn.d + game_mod.weighted_marginals(table, fn.d)
     return DecompositionResult(
-        point, tuple(contributions), ev.value(full_mask(d)), method="delta_star",
+        point, tuple(contributions.tolist()), float(table[-1]), method="delta_star",
     )
 
 
 def pointwise_shapley(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Per-point game construction: restrict F to the binary activation
-    pattern of x (y -> F(x * y)), read that as a game, and allocate with the
-    classical Shapley value."""
-    point, _ = _prepare(fn, x, cap=EXACT_SUBSET_CAP)
-    restricted = NativeFunction(
-        lambda y: fn(hadamard(point, y)), fn.d, label=f"{fn.label}@{point}"
-    )
-    induced = game_mod.game_from_binary_function(restricted)
+    pattern of x (coalition S -> F(p_S x)), read that as a game, and
+    allocate with the classical Shapley value."""
+    point = _validated(fn, x, EXACT_SUBSET_CAP)
+    game_mod.check_empty_coalition(_origin_value(fn, point))
+    induced = game_mod.game_from_table(fn.d, _table(fn, point))
     allocation = game_mod.shapley(induced)
     return DecompositionResult(
         point, allocation.shares, induced.grand_value, method="pointwise_shapley",

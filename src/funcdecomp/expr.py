@@ -7,6 +7,10 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 
 * ``0^0 = 1`` (an exponent of zero makes a factor neutral);
 * ``sign(0) = 0``.
+
+Every handle evaluates a function on many projected points of one anchor
+through ``evaluate_masks``.  Expressions do that with numpy over blocks of
+points; other handles call the scalar path once per point.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     DimensionMismatchError,
@@ -25,7 +31,16 @@ from .core import (
     project,
     validate_dimension,
     validate_mask,
+    validate_masks,
 )
+
+# Projected points per numpy block in ExpressionFunction.evaluate_masks: the
+# working set is a few arrays of this length per tree node, whatever the
+# number of masks.
+MASK_BLOCK = 4096
+# Blocks up to this many points call ^, exp and ln once per point instead
+# of once per distinct operand (see _per_operand).
+_SHORT = 64
 
 
 class ParseError(ValueError):
@@ -224,6 +239,19 @@ def _power(base: float, exponent: float) -> float:
         raise EvaluationError(f"{base!r} ^ {exponent!r}: {exc}") from None
 
 
+def _exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        raise EvaluationError(f"exp({t!r}) overflows") from None
+
+
+def _log(t: float) -> float:
+    if t <= 0.0:
+        raise EvaluationError(f"ln of non-positive value {t!r}")
+    return math.log(t)
+
+
 def evaluate_node(node: Node, x: Sequence[float]) -> float:
     if isinstance(node, Num):
         return node.value
@@ -256,15 +284,150 @@ def evaluate_node(node: Node, x: Sequence[float]) -> float:
     if name == "sign":
         return _sign(args[0])
     if name == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            raise EvaluationError(f"exp({args[0]!r}) overflows") from None
+        return _exp(args[0])
     if name == "ln":
-        if args[0] <= 0.0:
-            raise EvaluationError(f"ln of non-positive value {args[0]!r}")
-        return math.log(args[0])
+        return _log(args[0])
     return max(args[0], 0.0)  # relu
+
+
+_Program = Callable[[list, np.ndarray], "np.ndarray | float"]
+
+
+def _compile(node: Node) -> _Program:
+    """Compile a tree into numpy operations over a block of points.
+
+    The program takes the coordinate columns (indexed by variable) and a
+    boolean array ``ok`` with one entry per point, and returns the values
+    of the points.  Every value equals the scalar path's bit for bit:
+    ``+ - * /``, negation and ``abs`` round as Python floats do, the
+    comparisons keep Python's tie rule (``max`` keeps its first argument,
+    ``sign(-0.0)`` is ``0.0``), and ``^``, ``exp`` and ``ln`` call the
+    scalar path's own functions, built on the math module.
+    The program clears ``ok`` for every point whose scalar evaluation
+    raises: a non-finite intermediate, a zero divisor, or a ``^``, ``exp``
+    or ``ln`` that fails.  Only the operations that can turn finite
+    operands into a non-finite value check their result, which catches
+    every non-finite intermediate where it first appears.
+    """
+    if isinstance(node, Num):
+        value = node.value
+        if not math.isfinite(value):
+            def constant(cols: list, ok: np.ndarray) -> float:
+                ok[:] = False
+                return value
+            return constant
+        return lambda cols, ok: value
+    if isinstance(node, Var):
+        j = node.index
+        return lambda cols, ok: cols[j]
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda cols, ok: np.negative(operand(cols, ok))
+    if isinstance(node, Bin):
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op == "/":
+            def divide(cols: list, ok: np.ndarray) -> np.ndarray:
+                a, b = left(cols, ok), right(cols, ok)
+                ok &= b != 0.0
+                return _finite(np.divide(a, b), ok)
+            return divide
+        if node.op == "^":
+            return lambda cols, ok: _per_operand(_power, ok, left(cols, ok), right(cols, ok))
+        ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[node.op]
+        return lambda cols, ok: _finite(ufunc(left(cols, ok), right(cols, ok)), ok)
+    args = [_compile(a) for a in node.args]
+    first = args[0]
+    name = node.name
+    if name in ("max", "min"):
+        second = args[1]
+        better = np.greater if name == "max" else np.less
+
+        def extremum(cols: list, ok: np.ndarray) -> np.ndarray:
+            a, b = first(cols, ok), second(cols, ok)
+            return np.where(better(b, a), b, a)
+        return extremum
+    if name == "abs":
+        return lambda cols, ok: np.abs(first(cols, ok))
+    if name == "sign":
+        def sign(cols: list, ok: np.ndarray) -> np.ndarray:
+            t = first(cols, ok)
+            return np.greater(t, 0.0) * 1.0 - np.less(t, 0.0)
+        return sign
+    if name in ("exp", "ln"):
+        scalar = _exp if name == "exp" else _log
+        return lambda cols, ok: _per_operand(scalar, ok, first(cols, ok))
+
+    def relu(cols: list, ok: np.ndarray) -> np.ndarray:
+        a = first(cols, ok)
+        return np.where(np.less(a, 0.0), 0.0, a)
+    return relu
+
+
+def _finite(v, ok: np.ndarray):
+    ok &= np.isfinite(v)
+    return v
+
+
+def _per_operand(scalar: Callable[..., float], ok: np.ndarray, *operands):
+    """``scalar`` applied to each point's operands; points where it raises
+    get NaN and are cleared in ``ok``.
+
+    With one varying operand in a long block it is called once per distinct
+    value: projected points share few (a variable's column holds only
+    ``x_j`` and ``0.0``), so a block costs a few calls instead of one per
+    point.  In short blocks finding the repeats costs more than it saves.
+    """
+    varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.ndim]
+    if not varying:
+        try:
+            return scalar(*map(float, operands))
+        except EvaluationError:
+            ok[:] = False
+            return math.nan
+    key = None
+    if len(varying) == 1 and len(ok) > _SHORT:
+        i = varying[0]
+        distinct, key = _distinct(operands[i])
+        operands = operands[:i] + (distinct,) + operands[i + 1:]
+    n = len(operands[varying[0]])
+    columns = [operands[i].tolist() if i in varying else [float(a)] * n
+               for i, a in enumerate(operands)]
+    values = np.array(_calls(scalar, zip(*columns)), dtype=float)
+    return _finite(values if key is None else values[key], ok)
+
+
+def _calls(scalar: Callable[..., float], rows: Iterable[tuple]) -> list[float]:
+    out = []
+    for args in rows:
+        try:
+            out.append(scalar(*args))
+        except EvaluationError:
+            out.append(math.nan)
+    return out
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float array, told apart by bit pattern (so
+    ``-0.0`` and ``0.0`` stay apart), and each entry's index into them."""
+    bits = values.view(np.int64)
+    low, high = bits.min(), bits.max()
+    upper = bits == high
+    if (upper | (bits == low)).all():  # at most two values: skip the sort
+        return np.array([low, high]).view(np.float64), upper.astype(np.intp)
+    distinct, index = np.unique(bits, return_inverse=True)
+    return distinct.view(np.float64), index
+
+
+def _variables(node: Node) -> set[int]:
+    if isinstance(node, Var):
+        return {node.index}
+    if isinstance(node, Neg):
+        return _variables(node.operand)
+    if isinstance(node, Bin):
+        return _variables(node.left) | _variables(node.right)
+    if isinstance(node, Call):
+        return set().union(*(_variables(a) for a in node.args))
+    return set()
 
 
 def format_expression(node: Node) -> str:
@@ -304,6 +467,17 @@ class FunctionHandle:
     def _evaluate(self, x: Point) -> float:
         raise NotImplementedError
 
+    def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
+        """Values at the projected points ``project(x, m)``, one per mask,
+        in the order given.
+
+        The base implementation calls the scalar path once per mask, so it
+        raises the ``EvaluationError`` of the first failing mask.
+        """
+        point = as_point(x, self.d)
+        masks = validate_masks(masks, self.d)
+        return np.array([self(project(point, m)) for m in masks.tolist()], dtype=float)
+
 
 class ExpressionFunction(FunctionHandle):
     """Function defined by parsed expression text."""
@@ -313,9 +487,39 @@ class ExpressionFunction(FunctionHandle):
         self.tree = parse(text, d)
         self.text = text
         self.label = text
+        self._program = _compile(self.tree)
+        self._variables = sorted(_variables(self.tree))
 
     def _evaluate(self, x: Point) -> float:
         return float(evaluate_node(self.tree, x))
+
+    def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
+        """Values at the projected points ``project(x, m)``, one per mask,
+        in the order given, computed with numpy over blocks of at most
+        ``MASK_BLOCK`` points.
+
+        Every value equals the scalar path's bit for bit.  Points the
+        compiled program flags (those whose scalar evaluation raises or
+        passes through a non-finite value) are re-evaluated one by one
+        through the scalar path, in the order given, so the first failing
+        mask and its ``EvaluationError`` are the scalar path's too.  A
+        mask's value does not depend on the block it lands in.
+        """
+        point = as_point(x, self.d)
+        masks = validate_masks(masks, self.d)
+        out = np.empty(len(masks))
+        cols: list = [None] * self.d
+        with np.errstate(all="ignore"):
+            for start in range(0, len(masks), MASK_BLOCK):
+                block = masks[start:start + MASK_BLOCK]
+                for j in self._variables:
+                    cols[j] = np.where(block >> j & 1, point[j], 0.0)
+                ok = np.ones(len(block), dtype=bool)
+                values = out[start:start + len(block)]
+                values[:] = self._program(cols, ok)
+                for k in np.flatnonzero(~ok).tolist():
+                    values[k] = self(project(point, int(block[k])))
+        return out
 
 
 class NativeFunction(FunctionHandle):

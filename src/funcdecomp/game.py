@@ -8,24 +8,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     EXACT_PERMUTATION_CAP,
     EXACT_SUBSET_CAP,
+    ORIGIN_TOLERANCE,
     DimensionMismatchError,
     NonzeroOriginError,
     Permutation,
     full_mask,
     indices_from_mask,
-    mask_cardinality,
     mask_from_indices,
     permutation_average_marginals,
     permute_mask,
     validate_dimension,
 )
-
-# Computed tables (values read off a float-valued model) cannot be held to
-# exact equality at the empty coalition; this is the acceptance slack.
-ORIGIN_TOLERANCE = 1e-12
 
 
 class GameFormatError(ValueError):
@@ -91,25 +89,49 @@ def shapley_weight(d: int, size: int) -> float:
     return math.factorial(size - 1) * math.factorial(d - size) / math.factorial(d)
 
 
+@lru_cache(maxsize=None)
+def _size_weights(d: int, weight: Callable[[int, int], float]) -> np.ndarray:
+    """Weight per coalition size 0..d (size 0 never contributes; read-only)."""
+    out = np.array([0.0] + [weight(d, size) for size in range(1, d + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def weighted_marginals(values: Sequence[float], d: int,
+                       weight: Callable[[int, int], float] = shapley_weight) -> np.ndarray:
+    """Per coordinate ``i``, the sum over coalitions ``S`` containing ``i``
+    of ``weight(d, |S|) * (values[S] - values[S \\ {i}])``.
+
+    ``values`` is a dense table indexed by subset bitmask.  With the default
+    weight this is the Shapley value of the table read as a game.  Each
+    difference is taken before it is weighted, so a coordinate that never
+    changes the value gets exactly 0.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (1 << d,):
+        raise DimensionMismatchError(f"need a table of {1 << d} values, got {vals.shape}")
+    # Coalition sizes are recomputed per call: a cached 2^d array outlives
+    # the call and keeps the allocator from returning freed memory.
+    sizes = np.zeros(1 << d, dtype=np.uint8)
+    for i in range(d):
+        sizes.reshape(-1, 2, 1 << i)[:, 1] += 1
+    w = _size_weights(d, weight)[sizes]
+    out = np.empty(d)
+    for i in range(d):
+        pairs = vals.reshape(-1, 2, 1 << i)
+        diff = pairs[:, 1] - pairs[:, 0]
+        diff *= w.reshape(-1, 2, 1 << i)[:, 1]
+        out[i] = diff.sum()
+    return out
+
+
 def shapley(game: Game) -> Allocation:
     """Classical Shapley allocation of the grand-coalition payoff.
 
     Sums weighted marginal contributions v(S) - v(S \\ {i}) over the
     coalitions containing each player (the remaining terms vanish).
     """
-    d = game.d
-    shares = [0.0] * d
-    values = game.values
-    for mask in range(1, 1 << d):
-        w = shapley_weight(d, mask_cardinality(mask))
-        v = values[mask]
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            shares[i] += w * (v - values[mask ^ low])
-            m ^= low
-    return Allocation(tuple(shares))
+    return Allocation(tuple(weighted_marginals(game.values, game.d).tolist()))
 
 
 def shapley_permutation_oracle(game: Game) -> Allocation:
@@ -120,25 +142,39 @@ def shapley_permutation_oracle(game: Game) -> Allocation:
     return Allocation(tuple(float(v) for v in marginals))
 
 
+def check_empty_coalition(value: float) -> None:
+    """Reject a computed empty-coalition value farther than ORIGIN_TOLERANCE
+    from zero."""
+    if abs(value) > ORIGIN_TOLERANCE:
+        raise NonzeroOriginError(
+            f"function is {float(value)!r} at the origin; a game needs value 0 there"
+        )
+
+
+def game_from_table(d: int, values: Sequence[float]) -> Game:
+    """Read a dense table of computed values, indexed by coalition mask, as
+    a game.  The empty-coalition entry must vanish within ORIGIN_TOLERANCE;
+    the game stores it as exactly zero."""
+    values = np.asarray(values, dtype=float)
+    check_empty_coalition(values[0])
+    return Game(d, (0.0,) + tuple(values[1:].tolist()))
+
+
 def game_from_binary_function(fn: Callable[[Sequence[float]], float]) -> Game:
     """Tabulate a function on binary points into a game.
 
     The coalition encoded by mask ``m`` is valued at the function's output
     on the indicator vector of ``m``.  Requires a ``d`` attribute on the
-    callable and a vanishing value at the origin (within ORIGIN_TOLERANCE;
-    the stored empty-coalition entry is then exactly zero).
+    callable and a vanishing value at the origin, which is checked first
+    (see `game_from_table`).
     """
     d = validate_dimension(getattr(fn, "d"), EXACT_SUBSET_CAP)
-    at_zero = float(fn((0.0,) * d))
-    if abs(at_zero) > ORIGIN_TOLERANCE:
-        raise NonzeroOriginError(
-            f"function is {at_zero!r} at the origin; a game needs value 0 there"
-        )
-    values = [0.0] * (1 << d)
+    values = [float(fn((0.0,) * d))]
+    check_empty_coalition(values[0])
     for mask in range(1, 1 << d):
         point = tuple(1.0 if mask >> i & 1 else 0.0 for i in range(d))
-        values[mask] = float(fn(point))
-    return Game(d, tuple(values))
+        values.append(float(fn(point)))
+    return game_from_table(d, values)
 
 
 def permute_game(game: Game, perm: Permutation) -> Game:

@@ -1,4 +1,6 @@
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -321,6 +323,20 @@ def test_generate_corpus_is_deterministic():
     spec = CorpusSpec("polynomial", 3, count=4, seed=99)
     labels = [f.label for f in generate_corpus(spec)]
     assert labels == [f.label for f in generate_corpus(spec)]
+
+
+def test_polynomial_generation_is_fast_in_high_dimension():
+    started = time.perf_counter()
+    fns = generate_corpus(CorpusSpec("polynomial", 16, count=5))
+    assert time.perf_counter() - started < 1.0
+    assert len(fns) == 5 and all(fn.d == 16 and fn((0.0,) * 16) == 0.0 for fn in fns)
+
+
+def test_polynomial_exponents_are_uniform_over_admissible_vectors():
+    terms = Counter(axioms.random_polynomial(2, seed=k, degree=2, n_terms=1).label.split(" * ", 1)[1]
+                    for k in range(3000))
+    assert set(terms) == {"x1^1", "x2^1", "x1^2", "x1^1 * x2^1", "x2^2"}
+    assert all(abs(count - 600) < 90 for count in terms.values())  # > 4 SD
 
 
 def test_generate_corpus_families():

@@ -98,8 +98,31 @@ def test_exit_code_2_on_bad_point(capsys):
     assert code == 2
 
 
+def test_exit_code_2_above_the_sampling_dimension_cap(capsys):
+    terms = "+".join(f"x{i}" for i in range(1, 65))
+    code, _, err = run(capsys, "decompose", "-d", "64", "-f", terms, "-x", ",".join(["1"] * 64),
+                       "--samples", "200")
+    assert code == 2
+    assert "dimension 64 exceeds the cap 63" in err
+
+
+def test_sequential_runs_above_the_sampling_dimension_cap(capsys):
+    terms = "+".join(f"x{i}" for i in range(1, 101))
+    code, out, _ = run(capsys, "decompose", "-d", "100", "-f", terms, "-x", ",".join(["1"] * 100),
+                       "--method", "sequential", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["contributions"] == [1.0] * 100
+
+
 def test_exit_code_4_on_origin_violation(capsys):
     code, _, err = run(capsys, "decompose", "-d", "2", "-f", "x1 + 1", "-x", "1,1",
+                       "--method", "as")
+    assert code == 4
+    assert "delta-star" in err
+
+
+def test_exit_code_4_when_the_origin_fails_before_a_later_point(capsys):
+    code, _, err = run(capsys, "decompose", "-d", "2", "-f", "1 + ln(1 - x2)", "-x", "1,1",
                        "--method", "as")
     assert code == 4
     assert "delta-star" in err

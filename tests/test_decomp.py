@@ -67,6 +67,24 @@ def test_sequential_rejects_shifted_origin_with_guidance():
         decomp.sequential(fn, (1.0, 1.0))
 
 
+def test_sequential_has_no_dimension_cap():
+    d = 100  # beyond the int64 masks of the sampler
+    x = tuple(1.0 + i / d for i in range(d))
+    fn = ExpressionFunction(" + ".join(f"x{i}^2" for i in range(1, d + 1)), d)
+    res = decomp.sequential(fn, x, permutation_from_ranks(tuple(range(d, 0, -1))))
+    assert all_close(res.contributions, [v ** 2 for v in x], rel=1e-12, abs_=1e-12)
+    assert close(res.total, fn(x), rel=1e-14)
+
+
+def test_origin_is_checked_before_the_other_projections():
+    # F(0) = 1 and F fails wherever x2 is active: the origin error wins
+    fn = ExpressionFunction("1 + ln(1 - x2)", 2)
+    for method in (decomp.sequential, decomp.as_permutation, decomp.as_subset,
+                   decomp.pointwise_shapley):
+        with pytest.raises(NonzeroOriginError):
+            method(fn, (1.0, 1.0))
+
+
 def test_sequential_validates_permutation_length():
     with pytest.raises(DimensionMismatchError):
         decomp.sequential(F_PROD_PLUS, (1.0, 1.0), (0, 1, 2))

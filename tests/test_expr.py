@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcdecomp import expr
-from funcdecomp.core import full_mask, permutation_from_ranks
+from funcdecomp import core, expr
+from funcdecomp.core import DimensionMismatchError, full_mask, permutation_from_ranks
 
 from oracles import close
 
@@ -320,3 +320,146 @@ def test_max_monomial_matches_direct_loop():
             for qi, si, xi in zip(q, s, x):
                 direct *= max(si * xi, 0.0) ** qi if qi else 1.0
             assert close(fn(x), direct, rel=1e-12, abs_=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation over projected points against the scalar path
+
+_EXPONENTS = (0.0, 0.5, 1.5, 2.0, 3.0, -0.5, -1.0, -2.0)
+
+_batch_leaf = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 800.0]).map(expr.Num),
+    st.integers(0, 2).map(expr.Var),
+)
+
+
+def _cancelling(t):
+    """Zero in exact arithmetic, but the two sides round differently, so the
+    scalar result is a tiny value or 0.0 depending on the point."""
+    return st.sampled_from([
+        expr.Bin("-", expr.Bin("^", t, expr.Num(3.0)), expr.Bin("*", expr.Bin("*", t, t), t)),
+        expr.Bin("-", expr.Call("exp", (t,)), expr.Bin("^", expr.Num(math.e), t)),
+        expr.Bin("-", expr.Call("ln", (expr.Call("exp", (t,)),)), t),
+    ])
+
+
+def _batch_branch(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda t: expr.Bin(*t)),
+        st.tuples(children, st.sampled_from(_EXPONENTS)).map(
+            lambda t: expr.Bin("^", t[0], expr.Num(t[1]))),
+        children.map(expr.Neg),
+        st.tuples(st.sampled_from(["max", "min"]), children, children).map(
+            lambda t: expr.Call(t[0], t[1:])),
+        st.tuples(st.sampled_from(["abs", "sign", "exp", "ln", "relu"]), children).map(
+            lambda t: expr.Call(t[0], (t[1],))),
+        children.flatmap(_cancelling),
+    )
+
+
+_batch_trees = st.recursive(_batch_leaf, _batch_branch, max_leaves=10)
+_coordinates = st.one_of(st.just(0.0), st.just(-0.0),
+                         st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False))
+
+
+def _scalar_table(fn, x, masks):
+    """Scalar values in mask order, and the message of the first error."""
+    values = []
+    for m in masks:
+        try:
+            values.append(fn(core.project(x, m)))
+        except expr.EvaluationError as exc:
+            return values, str(exc)
+    return values, None
+
+
+def _raises(fn, x, masks):
+    try:
+        fn.evaluate_masks(x, masks)
+    except expr.EvaluationError as exc:
+        return str(exc)
+    return None
+
+
+@given(_batch_trees, st.tuples(_coordinates, _coordinates, _coordinates),
+       st.lists(st.integers(0, 7), min_size=1, max_size=12).map(sorted))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_batched_evaluation_matches_scalar_path(tree, x, masks):
+    fn = expr.ExpressionFunction(expr.format_expression(tree), 3)
+    values, error = _scalar_table(fn, x, masks)
+    repeated = masks * (expr._SHORT + 1)  # a block long enough to share operands
+    if error is not None:
+        first = len(values)  # the mask the scalar path failed on
+        assert _raises(fn, x, masks) == error
+        assert _raises(fn, x, masks[:first + 1]) == error
+        assert _raises(fn, x, masks[:first]) is None
+        assert _raises(fn, x, repeated) == error
+        return
+    assert fn.evaluate_masks(x, masks).tobytes() == np.array(values).tobytes()
+    assert fn.evaluate_masks(x, repeated).tobytes() == np.array(values * (expr._SHORT + 1)).tobytes()
+
+
+def test_batched_rounding_near_zero_follows_the_scalar_path():
+    # x^3 and x*x*x round differently at some points: the scalar path then
+    # divides by a tiny value (or by zero) and takes the sign of it (or 0)
+    fractions = expr.ExpressionFunction("1/(x1^3 - x1*x1*x1)", 1)
+    signs = expr.ExpressionFunction("sign(x1^3 - x1*x1*x1) + relu(x1^3 - x1*x1*x1)", 1)
+    xs = np.random.default_rng(3).uniform(0.5, 3.0, size=400).tolist()
+    outcomes = set()
+    for x in xs:
+        assert signs.evaluate_masks((x,), [0, 1]).tolist() == [0.0, signs((x,))]
+        try:
+            want = fractions((x,))
+        except expr.EvaluationError as exc:
+            with pytest.raises(expr.EvaluationError, match=str(exc)):
+                fractions.evaluate_masks((x,), [1])
+            outcomes.add("error")
+        else:
+            assert fractions.evaluate_masks((x,), [1]).tolist() == [want]
+            outcomes.add("value")
+    assert outcomes == {"error", "value"}  # both cases were reached
+
+
+def test_batched_conventions_zero_power_and_sign():
+    fn = D2("x1^0 + sign(x2)")
+    got = fn.evaluate_masks((3.0, -2.0), range(4))
+    assert got.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+def test_batched_long_block_keeps_signed_zeros_apart():
+    # a long block calls ^ once per distinct operand; -0.0 and 0.0 differ
+    for text, x in (("x1^3", (-0.0,)), ("max(-x1, 0)^3", (2.0,))):
+        fn = expr.ExpressionFunction(text, 1)
+        masks = [0, 1] * expr.MASK_BLOCK
+        want = np.array([fn(core.project(x, m)) for m in masks])
+        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+
+
+def test_batched_recoverable_overflow_takes_scalar_value():
+    fn = expr.ExpressionFunction("1/(x1*1e200*1e200)", 1)
+    assert fn.evaluate_masks((2.0,), [1]).tolist() == [fn((2.0,))] == [0.0]
+    with pytest.raises(expr.EvaluationError, match="division by zero"):
+        fn.evaluate_masks((2.0,), [1, 0])
+
+
+def test_batched_value_does_not_depend_on_the_block():
+    # masks with x1 active overflow an intermediate and are re-run one by one
+    fn = expr.ExpressionFunction("min(x1*1e200*1e200, 5) + x2^3 + exp(x3) - ln(2 + x2)", 3)
+    x = (1.5, 0.7, -1.3)
+    alone = [fn.evaluate_masks(x, [m])[0] for m in range(8)]
+    assert alone == [fn(core.project(x, m)) if m & 1 else alone[m] for m in range(8)]
+    many = np.tile(np.arange(8), expr.MASK_BLOCK // 8 + 3)  # crosses a block boundary
+    assert fn.evaluate_masks(x, many).tobytes() == np.tile(alone, len(many) // 8).tobytes()
+
+
+def test_evaluate_masks_scalar_handles_and_validation():
+    native = expr.NativeFunction(lambda y: y[0] - 2 * y[1], 2)
+    assert native.evaluate_masks((1.0, 3.0), [3, 0, 2]).tolist() == [-5.0, 0.0, -6.0]
+    table = expr.TableFunction(1, [((0.0,), 1.0), ((4.0,), 2.5)])
+    assert table.evaluate_masks((4.0,), [0, 1]).tolist() == [1.0, 2.5]
+    for fn in (native, D2("x1 + x2")):
+        with pytest.raises(DimensionMismatchError):
+            fn.evaluate_masks((1.0, 3.0), [4])
+        with pytest.raises(DimensionMismatchError):
+            fn.evaluate_masks((1.0, 3.0), [-1])
+        assert fn.evaluate_masks((1.0, 3.0), []).shape == (0,)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import game as gm
-from funcdecomp.core import NonzeroOriginError, full_mask, mask_cardinality
+from funcdecomp.core import DimensionMismatchError, NonzeroOriginError, full_mask, mask_cardinality
 from funcdecomp.expr import ExpressionFunction, NativeFunction
 
-from oracles import all_close, brute_shapley, close
+from oracles import all_close, brute_delta_star, brute_shapley, close
 
 
 def make_game(d, values):
@@ -183,3 +183,40 @@ def test_oracle_equals_formula_on_dense_small_dims():
             g = random_game(d, rng)
             assert all_close(gm.shapley(g).shares,
                              gm.shapley_permutation_oracle(g).shares)
+
+
+def test_weighted_marginals_matches_brute_force_oracles():
+    rng = np.random.default_rng(17)
+    for d in range(1, 9):
+        values = rng.uniform(-5, 5, size=1 << d)  # values[0] != 0: the delta-star split
+        ones = (1.0,) * d
+
+        def fn(point):
+            return values[sum(1 << j for j, c in enumerate(point) if c != 0.0)]
+
+        kernel = gm.weighted_marginals(values, d)
+        assert all_close(kernel + values[0] / d, brute_delta_star(fn, ones), rel=1e-11, abs_=1e-11)
+        values[0] = 0.0
+        game = make_game(d, values)
+        table = {frozenset(i for i in range(d) if m >> i & 1): values[m] for m in range(1 << d)}
+        shares = gm.weighted_marginals(values, d)
+        assert all_close(shares, brute_shapley(table, d), rel=1e-11, abs_=1e-11)
+        assert all_close(shares, gm.shapley_permutation_oracle(game).shares, rel=1e-11, abs_=1e-11)
+
+
+def test_weighted_marginals_gives_dummy_exactly_zero_for_any_weight():
+    rng = np.random.default_rng(19)
+    d = 6
+    half = rng.uniform(-5, 5, size=1 << (d - 1))
+    values = np.concatenate([half, half])  # coordinate d never changes the value
+    for weight in (gm.shapley_weight, lambda n, s: gm.shapley_weight(n, s) * (1.0 + 0.1 * s)):
+        assert gm.weighted_marginals(values, d, weight)[d - 1] == 0.0
+    with pytest.raises(DimensionMismatchError):
+        gm.weighted_marginals(values[:-1], d)
+
+
+def test_game_from_table_zeroes_a_tolerated_origin_and_rejects_a_large_one():
+    g = gm.game_from_table(2, np.array([1e-14, 1.0, 2.0, 4.0]))
+    assert g.values == (0.0, 1.0, 2.0, 4.0)
+    with pytest.raises(NonzeroOriginError, match="a game needs value 0"):
+        gm.game_from_table(2, [0.5, 1.0, 2.0, 4.0])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from funcdecomp import decomp, montecarlo
-from funcdecomp.core import NonzeroOriginError
+from funcdecomp.core import DimensionMismatchError, NonzeroOriginError
 from funcdecomp.expr import ExpressionFunction, NativeFunction
 
 from oracles import close
@@ -88,3 +88,32 @@ def test_large_dimension_feasible_without_full_table():
     x = tuple(float(i % 3 - 1) for i in range(d))
     report = montecarlo.estimate_as(fn, x, n=64, seed=9)
     assert close(report.total, fn(x), rel=1e-10, abs_=1e-10)
+
+
+def test_dimension_cap_of_int64_masks():
+    wide = ExpressionFunction("x1 + x63", 63)
+    report = montecarlo.estimate_as(wide, (1.0,) * 63, n=4, seed=1)
+    assert close(report.total, 2.0)
+    too_wide = ExpressionFunction("x1 + x64", 64)
+    for estimator in (montecarlo.estimate_as, montecarlo.estimate_delta_star):
+        with pytest.raises(DimensionMismatchError, match="dimension 64 exceeds the cap 63"):
+            estimator(too_wide, (1.0,) * 64, n=200, seed=0)
+
+
+def test_worker_count_is_validated():
+    with pytest.raises(ValueError, match="worker"):
+        montecarlo.estimate_as(PRODUCT, (1.0, 1.0), n=10, seed=0, workers=0)
+
+
+def test_delta_star_estimate_splits_the_origin_value():
+    shifted = ExpressionFunction("x1*x2 + 0.5*x2*x3 - x1*x3 + 3", 3)
+    x = (1.0, 2.0, -1.5)
+    exact = decomp.delta_star(shifted, x).contributions
+    report = montecarlo.estimate_delta_star(shifted, x, n=2000, seed=4)
+    for est, se, ref in zip(report.estimate, report.standard_error, exact):
+        assert abs(est - ref) <= 4.0 * se
+    assert close(report.total, shifted(x), rel=1e-12, abs_=1e-12)
+    # without an origin value it is estimate_as, bit for bit
+    centred = ExpressionFunction("x1*x2 + 0.5*x2*x3 - x1*x3", 3)
+    assert (montecarlo.estimate_delta_star(centred, x, n=500, seed=4)
+            == montecarlo.estimate_as(centred, x, n=500, seed=4))
