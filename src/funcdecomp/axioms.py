@@ -31,6 +31,7 @@ from .core import (
     inverse_permutation,
     permute,
     project,
+    validate_dimension,
 )
 from .expr import (
     CoordinateMap,
@@ -644,6 +645,7 @@ class SuiteRecord:
 def default_corpus(config: SuiteConfig) -> list[FunctionHandle]:
     """Mixed corpus cycling through the families; guaranteed to contain
     dummy-bearing and origin-shifted members."""
+    validate_dimension(config.d)
     recipes = [
         CorpusSpec("polynomial", config.d),
         CorpusSpec("max_monomial", config.d),

@@ -240,7 +240,7 @@ def _render_allocation(meta: dict, shares: Sequence[float], grand: float,
 def _resolve_method(method: str, d: int) -> str:
     if method != "auto":
         return method
-    return "delta-star" if d <= EXACT_SUBSET_CAP else "mc"
+    return "delta-star" if d <= EXACT_SUBSET_CAP else "mc-delta-star"
 
 
 def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method: str,
@@ -316,9 +316,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise TableFormatError(str(exc)) from None
 
     method = _resolve_method(args.method, d)
-    if method == "mc" and args.method == "auto":
-        # auto above the exact cap keeps delta-star semantics via sampling
-        method = "mc-delta-star"
 
     if args.dump_table:
         if not args.function:
@@ -376,7 +373,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         config, corpus = _corpus_from_spec_file(args.corpus_spec)
     else:
         config = axioms.SuiteConfig(
-            d=args.dimension or 4,
+            d=4 if args.dimension is None else args.dimension,
             n_functions=args.functions,
             n_points=args.points,
             n_permutations=args.perms,

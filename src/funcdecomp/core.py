@@ -48,7 +48,7 @@ class NonzeroOriginError(ValueError):
 
 
 def validate_dimension(d: int, cap: int | None = None) -> int:
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DimensionMismatchError(f"dimension must be a positive integer, got {d!r}")
     if cap is not None and d > cap:
         raise DimensionMismatchError(f"dimension {d} exceeds the cap {cap} of this method")
@@ -70,10 +70,6 @@ def as_point(coords: Iterable[float], d: int | None = None) -> Point:
         if not math.isfinite(c):
             raise NonFiniteCoordinateError(f"coordinate {i + 1} is not finite: {c!r}")
     return point
-
-
-def zero_point(d: int) -> Point:
-    return (0.0,) * validate_dimension(d)
 
 
 def ones_point(d: int) -> Point:
@@ -141,11 +137,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 
 def mask_cardinality(mask: int) -> int:
     return mask.bit_count()
-
-
-def iter_masks(d: int):
-    """All 2^d subset masks in ascending order."""
-    return range(1 << validate_dimension(d))
 
 
 def project(x: Sequence[float], mask: int) -> Point:

@@ -10,15 +10,19 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 
 Every handle evaluates a function on many projected points of one anchor
 through ``evaluate_masks``.  Expressions do that with numpy over blocks of
-points; other handles call the scalar path once per point.
+points; other handles call the scalar path once per point.  An expression
+is flattened once into a post-order program over one operation table, and
+its scalar and batched paths both run that program.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,8 +93,6 @@ class Call:
 
 
 Node = Num | Var | Neg | Bin | Call
-
-_FUNCTION_ARITY = {"max": 2, "min": 2, "abs": 1, "sign": 1, "exp": 1, "ln": 1, "relu": 1}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -197,9 +199,9 @@ class _Parser:
                 raise ParseError(f"variable {text} exceeds dimension {self.d}", pos)
             return Var(index - 1)
         if kind == "name":
-            arity = _FUNCTION_ARITY.get(text)
-            if arity is None:
+            if text not in _OPERATIONS:
                 raise ParseError(f"unknown function {text!r}", pos)
+            arity = _OPERATIONS[text].arity
             self.expect_op("(")
             args = [self.sum()]
             while True:
@@ -223,9 +225,28 @@ class _Parser:
 
 
 def parse(text: str, d: int) -> Node:
-    """Parse an expression over variables x1..xd into a syntax tree."""
+    """Parse an expression over variables x1..xd into a syntax tree.
+
+    Sums and products of any length parse without recursion; nesting
+    deeper than the parser's recursion allows is a ``ParseError``.
+    """
     validate_dimension(d)
-    return _Parser(text, d).parse()
+    parser = _Parser(text, d)
+    try:
+        return parser.parse()
+    except RecursionError:
+        position = parser.tokens[max(parser.i - 1, 0)][2]
+        raise ParseError("expression nested too deeply", position) from None
+
+
+# ---------------------------------------------------------------------------
+# Operations and flat programs
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
 
 
 def _sign(t: float) -> float:
@@ -250,117 +271,6 @@ def _log(t: float) -> float:
     if t <= 0.0:
         raise EvaluationError(f"ln of non-positive value {t!r}")
     return math.log(t)
-
-
-def evaluate_node(node: Node, x: Sequence[float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x[node.index]
-    if isinstance(node, Neg):
-        return -evaluate_node(node.operand, x)
-    if isinstance(node, Bin):
-        left = evaluate_node(node.left, x)
-        right = evaluate_node(node.right, x)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise EvaluationError("division by zero")
-            return left / right
-        return _power(left, right)
-    args = [evaluate_node(a, x) for a in node.args]
-    name = node.name
-    if name == "max":
-        return max(args)
-    if name == "min":
-        return min(args)
-    if name == "abs":
-        return abs(args[0])
-    if name == "sign":
-        return _sign(args[0])
-    if name == "exp":
-        return _exp(args[0])
-    if name == "ln":
-        return _log(args[0])
-    return max(args[0], 0.0)  # relu
-
-
-_Program = Callable[[list, np.ndarray], "np.ndarray | float"]
-
-
-def _compile(node: Node) -> _Program:
-    """Compile a tree into numpy operations over a block of points.
-
-    The program takes the coordinate columns (indexed by variable) and a
-    boolean array ``ok`` with one entry per point, and returns the values
-    of the points.  Every value equals the scalar path's bit for bit:
-    ``+ - * /``, negation and ``abs`` round as Python floats do, the
-    comparisons keep Python's tie rule (``max`` keeps its first argument,
-    ``sign(-0.0)`` is ``0.0``), and ``^``, ``exp`` and ``ln`` call the
-    scalar path's own functions, built on the math module.
-    The program clears ``ok`` for every point whose scalar evaluation
-    raises: a non-finite intermediate, a zero divisor, or a ``^``, ``exp``
-    or ``ln`` that fails.  Only the operations that can turn finite
-    operands into a non-finite value check their result, which catches
-    every non-finite intermediate where it first appears.
-    """
-    if isinstance(node, Num):
-        value = node.value
-        if not math.isfinite(value):
-            def constant(cols: list, ok: np.ndarray) -> float:
-                ok[:] = False
-                return value
-            return constant
-        return lambda cols, ok: value
-    if isinstance(node, Var):
-        j = node.index
-        return lambda cols, ok: cols[j]
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda cols, ok: np.negative(operand(cols, ok))
-    if isinstance(node, Bin):
-        left, right = _compile(node.left), _compile(node.right)
-        if node.op == "/":
-            def divide(cols: list, ok: np.ndarray) -> np.ndarray:
-                a, b = left(cols, ok), right(cols, ok)
-                ok &= b != 0.0
-                return _finite(np.divide(a, b), ok)
-            return divide
-        if node.op == "^":
-            return lambda cols, ok: _per_operand(_power, ok, left(cols, ok), right(cols, ok))
-        ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[node.op]
-        return lambda cols, ok: _finite(ufunc(left(cols, ok), right(cols, ok)), ok)
-    args = [_compile(a) for a in node.args]
-    first = args[0]
-    name = node.name
-    if name in ("max", "min"):
-        second = args[1]
-        better = np.greater if name == "max" else np.less
-
-        def extremum(cols: list, ok: np.ndarray) -> np.ndarray:
-            a, b = first(cols, ok), second(cols, ok)
-            return np.where(better(b, a), b, a)
-        return extremum
-    if name == "abs":
-        return lambda cols, ok: np.abs(first(cols, ok))
-    if name == "sign":
-        def sign(cols: list, ok: np.ndarray) -> np.ndarray:
-            t = first(cols, ok)
-            return np.greater(t, 0.0) * 1.0 - np.less(t, 0.0)
-        return sign
-    if name in ("exp", "ln"):
-        scalar = _exp if name == "exp" else _log
-        return lambda cols, ok: _per_operand(scalar, ok, first(cols, ok))
-
-    def relu(cols: list, ok: np.ndarray) -> np.ndarray:
-        a = first(cols, ok)
-        return np.where(np.less(a, 0.0), 0.0, a)
-    return relu
 
 
 def _finite(v, ok: np.ndarray):
@@ -418,16 +328,113 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), index
 
 
-def _variables(node: Node) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Neg):
-        return _variables(node.operand)
-    if isinstance(node, Bin):
-        return _variables(node.left) | _variables(node.right)
-    if isinstance(node, Call):
-        return set().union(*(_variables(a) for a in node.args))
-    return set()
+def _divide_batched(ok: np.ndarray, a, b):
+    ok &= b != 0.0
+    return _finite(np.divide(a, b), ok)
+
+
+class _Operation(NamedTuple):
+    arity: int
+    scalar: Callable[..., float]
+    batched: Callable[..., "np.ndarray | float"]
+
+
+_NEGATE = "u-"  # unary minus: a key no name token can spell
+
+# Every operator and function: its arity, its Python-float code for the
+# scalar path and its numpy code for the batched path (see _run_block).  The
+# parser reads function arities from here.
+_OPERATIONS: dict[str, _Operation] = {
+    "+": _Operation(2, operator.add, lambda ok, a, b: _finite(np.add(a, b), ok)),
+    "-": _Operation(2, operator.sub, lambda ok, a, b: _finite(np.subtract(a, b), ok)),
+    "*": _Operation(2, operator.mul, lambda ok, a, b: _finite(np.multiply(a, b), ok)),
+    "/": _Operation(2, _divide, _divide_batched),
+    "^": _Operation(2, _power, functools.partial(_per_operand, _power)),
+    _NEGATE: _Operation(1, operator.neg, lambda ok, a: np.negative(a)),
+    "max": _Operation(2, max, lambda ok, a, b: np.where(np.greater(b, a), b, a)),
+    "min": _Operation(2, min, lambda ok, a, b: np.where(np.less(b, a), b, a)),
+    "abs": _Operation(1, abs, lambda ok, a: np.abs(a)),
+    "sign": _Operation(1, _sign, lambda ok, t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0)),
+    "exp": _Operation(1, _exp, functools.partial(_per_operand, _exp)),
+    "ln": _Operation(1, _log, functools.partial(_per_operand, _log)),
+    "relu": _Operation(1, lambda t: max(t, 0.0), lambda ok, a: np.where(np.less(a, 0.0), 0.0, a)),
+}
+
+
+def _flatten(tree: Node) -> tuple:
+    """The tree as a program for a stack machine: its nodes in post-order,
+    leaves as they are and every inner node replaced by its operation.
+    Walks with an explicit stack, so a tree of any depth flattens."""
+    steps: list = []
+    todo = [tree]
+    while todo:  # root first, right subtree before left: post-order reversed
+        node = todo.pop()
+        if isinstance(node, Bin):
+            steps.append(_OPERATIONS[node.op])
+            todo += (node.left, node.right)
+        elif isinstance(node, Neg):
+            steps.append(_OPERATIONS[_NEGATE])
+            todo.append(node.operand)
+        elif isinstance(node, Call):
+            steps.append(_OPERATIONS[node.name])
+            todo += node.args
+        else:
+            steps.append(node)
+    steps.reverse()
+    return tuple(steps)
+
+
+def _run(program: tuple, x: Sequence[float]) -> float:
+    """The value of a program at one point, in Python floats; raises the
+    ``EvaluationError`` of the first operation that fails."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for step in program:
+        kind = type(step)
+        if kind is Var:
+            push(x[step.index])
+        elif kind is Num:
+            push(step.value)
+        elif step.arity == 1:
+            push(step.scalar(pop()))
+        else:
+            right = pop()
+            push(step.scalar(pop(), right))
+    return stack[0]
+
+
+def _run_block(program: tuple, cols: list, ok: np.ndarray) -> "np.ndarray | float":
+    """The values of a program over a block of points, given the coordinate
+    columns (indexed by variable) and one flag ``ok`` per point.
+
+    Every value equals the scalar path's bit for bit: ``+ - * /``, negation
+    and ``abs`` round as Python floats do, ``max``/``min``/``relu``/``sign``
+    keep Python's tie rules, and ``^``, ``exp`` and ``ln`` call the scalar
+    code.  The flags of points whose scalar evaluation raises are cleared:
+    every operation that can turn finite operands into a non-finite value
+    flags it where it first appears, ``/`` flags a zero divisor, and ``^``,
+    ``exp`` and ``ln`` flag a failing call.
+    """
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for step in program:
+        kind = type(step)
+        if kind is Var:
+            push(cols[step.index])
+        elif kind is Num:
+            if not math.isfinite(step.value):
+                ok[:] = False
+            push(step.value)
+        elif step.arity == 1:
+            push(step.batched(ok, pop()))
+        else:
+            right = pop()
+            push(step.batched(ok, pop(), right))
+    return stack[0]
+
+
+def evaluate_node(node: Node, x: Sequence[float]) -> float:
+    return _run(_flatten(node), x)
 
 
 def format_expression(node: Node) -> str:
@@ -487,11 +494,11 @@ class ExpressionFunction(FunctionHandle):
         self.tree = parse(text, d)
         self.text = text
         self.label = text
-        self._program = _compile(self.tree)
-        self._variables = sorted(_variables(self.tree))
+        self._program = _flatten(self.tree)
+        self._variables = sorted({step.index for step in self._program if type(step) is Var})
 
     def _evaluate(self, x: Point) -> float:
-        return float(evaluate_node(self.tree, x))
+        return float(_run(self._program, x))
 
     def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
         """Values at the projected points ``project(x, m)``, one per mask,
@@ -499,7 +506,7 @@ class ExpressionFunction(FunctionHandle):
         ``MASK_BLOCK`` points.
 
         Every value equals the scalar path's bit for bit.  Points the
-        compiled program flags (those whose scalar evaluation raises or
+        batched path flags (those whose scalar evaluation raises or
         passes through a non-finite value) are re-evaluated one by one
         through the scalar path, in the order given, so the first failing
         mask and its ``EvaluationError`` are the scalar path's too.  A
@@ -516,7 +523,7 @@ class ExpressionFunction(FunctionHandle):
                     cols[j] = np.where(block >> j & 1, point[j], 0.0)
                 ok = np.ones(len(block), dtype=bool)
                 values = out[start:start + len(block)]
-                values[:] = self._program(cols, ok)
+                values[:] = _run_block(self._program, cols, ok)
                 for k in np.flatnonzero(~ok).tolist():
                     values[k] = self(project(point, int(block[k])))
         return out

@@ -202,7 +202,7 @@ def game_from_json(data: Mapping) -> Game:
     if not isinstance(data, Mapping) or "d" not in data or "values" not in data:
         raise GameFormatError('game JSON needs the keys "d" and "values"')
     d = data["d"]
-    if not isinstance(d, int) or not 1 <= d <= EXACT_SUBSET_CAP:
+    if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= EXACT_SUBSET_CAP:
         raise GameFormatError(f'"d" must be an integer in 1..{EXACT_SUBSET_CAP}, got {d!r}')
     raw = data["values"]
     if not isinstance(raw, Mapping):

@@ -114,6 +114,32 @@ def test_sequential_runs_above_the_sampling_dimension_cap(capsys):
     assert json.loads(out)["rows"][0]["contributions"] == [1.0] * 100
 
 
+def test_decompose_long_sum_and_product(capsys):
+    for text, total in (("+".join(["x1"] * 5000), 5000.0), ("*".join(["x1"] * 2000), 1.0)):
+        code, payload, _ = run_json(capsys, "decompose", "-d", "2", "-f", text, "-x", "1,1")
+        assert code == 0
+        assert payload["rows"][0]["total"] == total
+
+
+def test_exit_code_2_on_nesting_too_deep(capsys):
+    for text in ("(" * 300 + "x1" + ")" * 300, "-" * 1500 + "x1", "^".join(["x1"] * 1200)):
+        code, out, err = run(capsys, "decompose", "-d", "1", f"--function={text}", "-x", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
+
+
+def test_decompose_method_names_above_the_exact_cap(capsys):
+    terms = "+".join(f"x{i}" for i in range(1, 22))
+    point = ",".join(["1"] * 21)
+    _, auto, _ = run_json(capsys, "decompose", "-d", "21", "-f", terms, "-x", point,
+                          "--samples", "20")
+    _, mc, _ = run_json(capsys, "decompose", "-d", "21", "-f", terms, "-x", point,
+                        "--samples", "20", "--method", "mc")
+    assert auto["method"] == "monte_carlo_delta_star(seed=0, n=20)"
+    assert mc["method"] == "monte_carlo(seed=0, n=20)"
+
+
 def test_exit_code_4_on_origin_violation(capsys):
     code, _, err = run(capsys, "decompose", "-d", "2", "-f", "x1 + 1", "-x", "1,1",
                        "--method", "as")
@@ -236,6 +262,12 @@ def test_shapley_exit_4_on_normalization(capsys, tmp_path):
     assert code == 4
 
 
+def test_shapley_exit_3_on_boolean_dimension(capsys, tmp_path):
+    code, out, err = run(capsys, "shapley", write_game(tmp_path, {"d": True, "values": {"1": 2.0}}))
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # axioms
 
@@ -279,6 +311,14 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "axioms", str(path))
     assert code == 2
     assert "no functions" in err
+
+
+def test_axioms_rejects_a_non_positive_dimension(capsys):
+    for d in ("0", "-3"):
+        code, out, err = run(capsys, "axioms", "-d", d, "--functions", "2", "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert "dimension must be a positive integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,13 @@ def test_as_point_rejects_non_finite():
         core.as_point(())
 
 
+def test_validate_dimension_rejects_booleans_and_non_positive_values():
+    for bad in (True, False, 0, -3, 2.0):
+        with pytest.raises(core.DimensionMismatchError, match="positive integer"):
+            core.validate_dimension(bad)
+    assert core.validate_dimension(3) == 3
+
+
 def test_mask_index_round_trip():
     assert core.mask_from_indices((1, 3), 3) == 0b101
     assert core.indices_from_mask(0b101) == (1, 3)

@@ -55,6 +55,13 @@ def test_parse_reports_positions():
         expr.parse("x1 x2", 2)
 
 
+def test_parse_reports_nesting_too_deep_for_the_parser():
+    for text in ("(" * 300 + "x1" + ")" * 300, "-" * 1500 + "x1", "^".join(["x1"] * 1200)):
+        with pytest.raises(expr.ParseError, match="expression nested too deeply"):
+            expr.parse(text, 1)
+    assert D2("(" * 50 + "x1" + ")" * 50)((3.0, 0.0)) == 3.0
+
+
 def test_number_forms():
     fn = D2("1.5e2 + .25 + 2e-1")
     assert fn((0.0, 0.0)) == 150.45
@@ -463,3 +470,15 @@ def test_evaluate_masks_scalar_handles_and_validation():
         with pytest.raises(DimensionMismatchError):
             fn.evaluate_masks((1.0, 3.0), [-1])
         assert fn.evaluate_masks((1.0, 3.0), []).shape == (0,)
+
+
+def test_long_sums_and_products_evaluate_without_recursion():
+    total = expr.ExpressionFunction(" + ".join(f"{k % 7}*x{k % 3 + 1}" for k in range(5000)), 3)
+    product = expr.ExpressionFunction(
+        " * ".join(f"(1 + x{k % 3 + 1}/{k + 1})" for k in range(2000)), 3)
+    x = (0.3, -1.7, 2.9)
+    masks = range(8)
+    for fn in (total, product):
+        want = np.array([fn(core.project(x, m)) for m in masks])
+        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert expr.evaluate_node(fn.tree, x) == want[-1]

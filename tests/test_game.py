@@ -176,6 +176,11 @@ def test_json_errors():
         gm.game_from_json({"values": {}})
 
 
+def test_json_rejects_a_boolean_dimension():
+    with pytest.raises(gm.GameFormatError):
+        gm.game_from_json({"d": True, "values": {"1": 2.0}})
+
+
 def test_oracle_equals_formula_on_dense_small_dims():
     rng = np.random.default_rng(17)
     for d in (1, 2, 3):
