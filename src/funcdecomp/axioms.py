@@ -329,8 +329,8 @@ def _binary_function(game: Game) -> FunctionHandle:
 def _dummy_players(game: Game) -> list[int]:
     out = []
     for i in range(game.d):
-        bit = 1 << i
-        if all(game.values[m] == game.values[m ^ bit] for m in range(1 << game.d) if m & bit):
+        pairs = game.values.reshape(-1, 2, 1 << i)  # [:, 0] lacks player i, [:, 1] has it
+        if np.array_equal(pairs[:, 1], pairs[:, 0]):
             out.append(i)
     return out
 
@@ -338,11 +338,9 @@ def _dummy_players(game: Game) -> list[int]:
 def _carriers(game: Game) -> list[int]:
     """All sets N with v(S) = v(S & N) for every S.  Quadratic in the table
     size, so restricted to small dimensions by the caller."""
-    carriers = []
-    for n_mask in range(1 << game.d):
-        if all(game.values[s] == game.values[s & n_mask] for s in range(1 << game.d)):
-            carriers.append(n_mask)
-    return carriers
+    masks = np.arange(1 << game.d)
+    return [n_mask for n_mask in range(1 << game.d)
+            if np.array_equal(game.values[masks & n_mask], game.values)]
 
 
 def check_shapley_axioms(game: Game, other: Game, perm: Permutation | None = None,
@@ -352,7 +350,7 @@ def check_shapley_axioms(game: Game, other: Game, perm: Permutation | None = Non
     encoding of coalitions, their function-level counterparts."""
     d = game.d
     base = allocator(game).shares
-    scale = 1.0 + max(abs(v) for v in base) + max(abs(v) for v in game.values)
+    scale = 1.0 + max(abs(v) for v in base) + float(np.abs(game.values).max())
 
     if d <= 5:
         perms = [tuple(p) for p in itertools.permutations(range(d))]
@@ -376,7 +374,7 @@ def check_shapley_axioms(game: Game, other: Game, perm: Permutation | None = Non
         for n_mask in _carriers(game):
             inside = math.fsum(base[i] for i in range(d) if n_mask >> i & 1)
             dev_s2.append((f"carrier mask {n_mask:#b}",
-                           abs(inside - game.values[n_mask]) / scale))
+                           abs(inside - float(game.values[n_mask])) / scale))
         verdicts.append(_verdict("S2", dev_s2, tol))
     else:
         verdicts.append(AxiomVerdict("S2", PARTIAL, math.nan, tol, (),

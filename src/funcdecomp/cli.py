@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,6 +59,10 @@ def _round_sig(v: float) -> float:
 
 def _cell(v: float) -> str:
     return f"{v:.{TABLE_DIGITS}g}"
+
+
+def _data_cell(v: float) -> str:
+    return f"{v:.{DATA_DIGITS}g}"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -162,6 +166,27 @@ def _dump_mask_table(path: str, fn: FunctionHandle, x: Sequence[float]) -> None:
 # Report rendering
 
 
+def _result_row(res: decomp.DecompositionResult) -> dict:
+    return {
+        "x": list(res.x),
+        "contributions": list(res.contributions),
+        "total": res.total,
+        "residual": res.residual,
+    }
+
+
+def _decomposition_header(d: int, has_se: bool) -> list[str]:
+    prefixes = ("x", "G", "SE") if has_se else ("x", "G")
+    return [f"{p}{i + 1}" for p in prefixes for i in range(d)] + ["total", "residual"]
+
+
+def _decomposition_cells(row: dict, has_se: bool, cell: Callable[[float], str]) -> list[str]:
+    values = [*row["x"], *row["contributions"]]
+    if has_se:
+        values += row.get("standard_error", ())
+    return [cell(v) for v in (*values, row["total"], row["residual"])]
+
+
 def _render_decomposition(meta: dict, rows: list[dict], out_format: str) -> str:
     d = meta["d"]
     has_se = any("standard_error" in r for r in rows)
@@ -174,33 +199,17 @@ def _render_decomposition(meta: dict, rows: list[dict], out_format: str) -> str:
             for row in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
+    header = _decomposition_header(d, has_se)
     if out_format == "csv":
-        header = [f"x{i + 1}" for i in range(d)] + [f"G{i + 1}" for i in range(d)]
-        if has_se:
-            header += [f"SE{i + 1}" for i in range(d)]
-        header += ["total", "residual"]
         lines = [",".join(header)]
-        for row in rows:
-            cells = [f"{v:.{DATA_DIGITS}g}" for v in row["x"]]
-            cells += [f"{v:.{DATA_DIGITS}g}" for v in row["contributions"]]
-            if has_se:
-                cells += [f"{v:.{DATA_DIGITS}g}" for v in row.get("standard_error", ())]
-            cells += [f"{row['total']:.{DATA_DIGITS}g}", f"{row['residual']:.{DATA_DIGITS}g}"]
-            lines.append(",".join(cells))
+        lines += [",".join(_decomposition_cells(row, has_se, _data_cell)) for row in rows]
         return "\n".join(lines) + "\n"
 
     width = 12
     lines = ["  ".join(f"{k}: {v}" for k, v in meta.items())]
-    header = [f"x{i + 1}" for i in range(d)] + [f"G{i + 1}" for i in range(d)]
-    if has_se:
-        header += [f"SE{i + 1}" for i in range(d)]
-    header += ["total", "residual"]
     lines.append(" ".join(f"{h:>{width}}" for h in header))
     for row in rows:
-        cells = [_cell(v) for v in row["x"]] + [_cell(v) for v in row["contributions"]]
-        if has_se:
-            cells += [_cell(v) for v in row.get("standard_error", ())]
-        cells += [_cell(row["total"]), _cell(row["residual"])]
+        cells = _decomposition_cells(row, has_se, _cell)
         lines.append(" ".join(f"{c:>{width}}" for c in cells))
         if "reference" in row:
             ref = [""] * d + [_cell(v) for v in row["reference"]]
@@ -219,16 +228,14 @@ def _render_allocation(meta: dict, shares: Sequence[float], grand: float,
             "residual": _round_sig(residual),
         })
         return json.dumps(payload, indent=2) + "\n"
+    header = [f"phi{i + 1}" for i in range(len(shares))] + ["grand_value", "residual"]
     if out_format == "csv":
-        header = [f"phi{i + 1}" for i in range(len(shares))] + ["grand_value", "residual"]
-        cells = [f"{v:.{DATA_DIGITS}g}" for v in shares]
-        cells += [f"{grand:.{DATA_DIGITS}g}", f"{residual:.{DATA_DIGITS}g}"]
+        cells = [_data_cell(v) for v in (*shares, grand, residual)]
         return ",".join(header) + "\n" + ",".join(cells) + "\n"
     width = 12
     lines = ["  ".join(f"{k}: {v}" for k, v in meta.items())]
-    header = [f"phi{i + 1}" for i in range(len(shares))] + ["grand_value", "residual"]
     lines.append(" ".join(f"{h:>{width}}" for h in header))
-    cells = [_cell(v) for v in shares] + [_cell(grand), _cell(residual)]
+    cells = [_cell(v) for v in (*shares, grand, residual)]
     lines.append(" ".join(f"{c:>{width}}" for c in cells))
     return "\n".join(lines) + "\n"
 
@@ -276,12 +283,7 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
         else:
             raise ValueError(f"unknown method {method!r}")
         meta["method"] = res.method
-        rows.append({
-            "x": list(res.x),
-            "contributions": list(res.contributions),
-            "total": res.total,
-            "residual": res.residual,
-        })
+        rows.append(_result_row(res))
     return meta, rows
 
 
@@ -404,13 +406,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
     res = decomp.delta_star(fn, x)
     reference = axioms.example1_closed_form(args.s0, args.c0, x)
     meta = {"method": res.method, "d": 2, "function": fn.label}
-    rows = [{
-        "x": list(res.x),
-        "contributions": list(res.contributions),
-        "total": res.total,
-        "residual": res.residual,
-        "reference": list(reference),
-    }]
+    rows = [{**_result_row(res), "reference": list(reference)}]
     _write_output(_render_decomposition(meta, rows, args.format), args.output)
     dev = max(abs(a - b) for a, b in zip(res.contributions, reference))
     return EXIT_OK if dev <= args.tol and res.residual <= args.tol else EXIT_FAIL
@@ -424,13 +420,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
     res = decomp.delta_star(fn, x=readings)
     meta = {"method": res.method, "d": d, "function": fn.label,
             "fixed_cost_per_head": _round_sig(fn((0.0,) * d) / d)}
-    rows = [{
-        "x": list(res.x),
-        "contributions": list(res.contributions),
-        "total": res.total,
-        "residual": res.residual,
-    }]
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
+    _write_output(_render_decomposition(meta, [_result_row(res)], args.format), args.output)
     return EXIT_OK if res.residual <= args.tol else EXIT_FAIL
 
 
@@ -449,13 +439,7 @@ def cmd_example3(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "baseline_var": _round_sig(model.baseline),
     }
-    rows = [{
-        "x": list(res.x),
-        "contributions": list(res.contributions),
-        "total": res.total,
-        "residual": res.residual,
-    }]
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
+    _write_output(_render_decomposition(meta, [_result_row(res)], args.format), args.output)
     return EXIT_OK if res.residual <= args.tol else EXIT_FAIL
 
 
@@ -479,10 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="attribute a function value to its arguments")
     p.add_argument("-d", "--dimension", type=int, required=True)
-    p.add_argument("-f", "--function", help="expression over x1..xd")
+    p.add_argument("-f", "--function",
+                   help="expression over x1..xd; write --function=-x1^2 if it starts with -")
     p.add_argument("--table-csv", help="masked evaluations (header mask,value; "
                                        "mask like 1+3, empty for no arguments)")
-    p.add_argument("-x", "--point", help="comma-separated coordinates")
+    p.add_argument("-x", "--point",
+                   help="comma-separated coordinates; write --point=-1.5,2 if they start with -")
     p.add_argument("--points-csv", help="CSV of points (header x1..xd)")
     p.add_argument("--method", default="auto",
                    choices=["auto", "sequential", "as", "delta-star", "pointwise", "mc"])
@@ -516,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example1", help="stock in foreign currency: two-factor gain split")
     p.add_argument("--s0", type=float, default=2.0)
     p.add_argument("--c0", type=float, default=3.0)
-    p.add_argument("-x", "--point", default="1,1")
+    p.add_argument("-x", "--point", default="1,1",
+                   help="position and exchange-rate changes; write --point=-1,1 "
+                        "if they start with -")
     _add_common_output(p)
     p.set_defaults(handler=cmd_example1)
 
@@ -525,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=2.0)
     p.add_argument("--discount-rate", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--readings", default="1,2,3")
+    p.add_argument("--readings", default="1,2,3",
+                   help="comma-separated meter readings; write --readings=-1,2 "
+                        "if they start with -")
     _add_common_output(p)
     p.set_defaults(handler=cmd_example2)
 
@@ -536,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loading", type=float, default=None,
                    help="fix all factor loadings to this value (symmetric model)")
-    p.add_argument("-x", "--point", help="risk-factor moves; default 0.1 each")
+    p.add_argument("-x", "--point", help="risk-factor moves; default 0.1 each; "
+                                          "write --point=-0.1,0.2 if they start with -")
     _add_common_output(p)
     p.set_defaults(handler=cmd_example3)
 

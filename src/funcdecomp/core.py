@@ -204,11 +204,11 @@ def permute(x: Sequence[float], perm: Permutation) -> Point:
 
 
 def permute_mask(mask: int, perm: Permutation) -> int:
-    """Image of a subset under the permutation: bit perm[i] set iff bit i was."""
+    """Image of a subset under the permutation: bit perm[i] set iff bit i was.
+    Works on an int and elementwise on an integer array of masks."""
     out = 0
     for i, p in enumerate(perm):
-        if mask >> i & 1:
-            out |= 1 << p
+        out |= (mask >> i & 1) << p
     return out
 
 

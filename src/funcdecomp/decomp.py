@@ -155,8 +155,7 @@ def pointwise_shapley(fn: FunctionHandle, x: Sequence[float]) -> DecompositionRe
     pattern of x (coalition S -> F(p_S x)), read that as a game, and
     allocate with the classical Shapley value."""
     point = _validated(fn, x, EXACT_SUBSET_CAP)
-    game_mod.check_empty_coalition(_origin_value(fn, point))
-    induced = game_mod.game_from_table(fn.d, _table(fn, point))
+    induced = game_mod.induced_game(fn, point)
     allocation = game_mod.shapley(induced)
     return DecompositionResult(
         point, allocation.shares, induced.grand_value, method="pointwise_shapley",

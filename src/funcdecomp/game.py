@@ -17,50 +17,58 @@ from .core import (
     DimensionMismatchError,
     NonzeroOriginError,
     Permutation,
-    full_mask,
     indices_from_mask,
     mask_from_indices,
     permutation_average_marginals,
     permute_mask,
     validate_dimension,
 )
+from .expr import FunctionHandle
 
 
 class GameFormatError(ValueError):
     """A game table is incomplete or malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Game:
     """Total payoff table over all coalitions of ``d`` players.
 
-    ``values[m]`` is the payoff of the coalition encoded by bitmask ``m``;
-    the empty coalition must be worth exactly zero.
+    ``values`` is a read-only float64 array indexed by coalition bitmask:
+    ``values[m]`` is the payoff of the coalition encoded by ``m``.  Any
+    sequence of ``2^d`` numbers is accepted; the game keeps its own copy.
+    The empty coalition must be worth exactly zero.
     """
 
     d: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         validate_dimension(self.d, EXACT_SUBSET_CAP)
-        if len(self.values) != 1 << self.d:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (1 << self.d,):
             raise GameFormatError(
-                f"table must cover all {1 << self.d} coalitions, got {len(self.values)}"
+                f"table must cover all {1 << self.d} coalitions, got {values.size}"
             )
-        if self.values[0] != 0.0:
+        if values[0] != 0.0:
             raise NonzeroOriginError(
-                f"empty coalition must be worth exactly 0, got {self.values[0]!r}"
+                f"empty coalition must be worth exactly 0, got {float(values[0])!r}"
             )
-        for m, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise GameFormatError(f"non-finite payoff {v!r} for coalition {m:#b}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            m = int(bad.argmax())
+            raise GameFormatError(f"non-finite payoff {float(values[m])!r} for coalition {m:#b}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
-    def value(self, mask: int) -> float:
-        return self.values[mask]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Game):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.values, other.values)
 
     @property
     def grand_value(self) -> float:
-        return self.values[full_mask(self.d)]
+        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -157,40 +165,38 @@ def game_from_table(d: int, values: Sequence[float]) -> Game:
     the game stores it as exactly zero."""
     values = np.asarray(values, dtype=float)
     check_empty_coalition(values[0])
-    return Game(d, (0.0,) + tuple(values[1:].tolist()))
+    return Game(d, np.concatenate(([0.0], values[1:])))
 
 
-def game_from_binary_function(fn: Callable[[Sequence[float]], float]) -> Game:
-    """Tabulate a function on binary points into a game.
+def induced_game(fn: FunctionHandle, x: Sequence[float]) -> Game:
+    """The game S -> F(p_S x) of a function at a point.
 
-    The coalition encoded by mask ``m`` is valued at the function's output
-    on the indicator vector of ``m``.  Requires a ``d`` attribute on the
-    callable and a vanishing value at the origin, which is checked first
-    (see `game_from_table`).
+    The dimension cap is checked before any evaluation, and F(0) is
+    evaluated and checked (see `game_from_table`) before any other point.
     """
-    d = validate_dimension(getattr(fn, "d"), EXACT_SUBSET_CAP)
-    values = [float(fn((0.0,) * d))]
-    check_empty_coalition(values[0])
-    for mask in range(1, 1 << d):
-        point = tuple(1.0 if mask >> i & 1 else 0.0 for i in range(d))
-        values.append(float(fn(point)))
-    return game_from_table(d, values)
+    d = validate_dimension(fn.d, EXACT_SUBSET_CAP)
+    check_empty_coalition(fn.evaluate_masks(x, [0])[0])
+    return game_from_table(d, fn.evaluate_masks(x, np.arange(1 << d)))
+
+
+def game_from_binary_function(fn: FunctionHandle) -> Game:
+    """Tabulate a function on binary points into a game: the coalition
+    encoded by mask ``m`` is valued at the function's output on the
+    indicator vector of ``m`` (the game induced at the all-ones point)."""
+    return induced_game(fn, (1.0,) * fn.d)
 
 
 def permute_game(game: Game, perm: Permutation) -> Game:
     """The relabeled game (v o pi)(S) := v(pi(S))."""
     if len(perm) != game.d:
         raise DimensionMismatchError(f"permutation length {len(perm)} != d {game.d}")
-    values = [0.0] * (1 << game.d)
-    for mask in range(1 << game.d):
-        values[mask] = game.values[permute_mask(mask, perm)]
-    return Game(game.d, tuple(values))
+    return Game(game.d, game.values[permute_mask(np.arange(1 << game.d), perm)])
 
 
 def add_games(a: Game, b: Game) -> Game:
     if a.d != b.d:
         raise DimensionMismatchError(f"dimension mismatch: {a.d} vs {b.d}")
-    return Game(a.d, tuple(x + y for x, y in zip(a.values, b.values)))
+    return Game(a.d, a.values + b.values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +213,31 @@ def game_from_json(data: Mapping) -> Game:
     raw = data["values"]
     if not isinstance(raw, Mapping):
         raise GameFormatError('"values" must be an object of coalition: payoff entries')
-    table: dict[int, float] = {}
+    values: list[float | None] = [None] * (1 << d)
     for key, payoff in raw.items():
         mask = _parse_coalition_key(key, d)
-        if mask in table:
+        if values[mask] is not None:
             raise GameFormatError(f"coalition {key!r} listed twice")
         if not isinstance(payoff, (int, float)) or isinstance(payoff, bool):
             raise GameFormatError(f"payoff for {key!r} is not a number: {payoff!r}")
-        table[mask] = float(payoff)
-    empty = table.setdefault(0, 0.0)  # missing empty coalition defaults to 0
-    if empty != 0.0:
-        raise NonzeroOriginError(f"empty coalition must be worth 0, got {empty!r}")
-    missing = [m for m in range(1 << d) if m not in table]
-    if missing:
+        values[mask] = float(payoff)
+    if values[0] is None:  # missing empty coalition defaults to 0
+        values[0] = 0.0
+    if values[0] != 0.0:
+        raise NonzeroOriginError(f"empty coalition must be worth 0, got {values[0]!r}")
+    if None in values:
+        missing = [m for m, v in enumerate(values) if v is None]
         names = ", ".join(_coalition_key(m) for m in missing[:5])
         raise GameFormatError(
             f"{len(missing)} coalition(s) missing from the table (e.g. {names})"
         )
-    return Game(d, tuple(table[m] for m in range(1 << d)))
+    return Game(d, values)
 
 
 def game_to_json(game: Game) -> dict:
     return {
         "d": game.d,
-        "values": {_coalition_key(m): game.values[m] for m in range(1 << game.d)},
+        "values": {_coalition_key(m): v for m, v in enumerate(game.values.tolist())},
     }
 
 

@@ -87,6 +87,16 @@ def test_decompose_points_csv(capsys, tmp_path):
     assert payload["rows"][1]["contributions"] == [3.0, 3.0]
 
 
+def test_values_starting_with_a_minus_in_equals_form(capsys):
+    code, payload, _ = run_json(
+        capsys, "decompose", "-d", "2", "--function=-x1^2", "--point=-1.5,2",
+        "--method", "delta-star")
+    assert code == 0
+    row = payload["rows"][0]
+    assert row["contributions"] == [-2.25, 0.0]
+    assert row["total"] == -2.25
+
+
 def test_exit_code_2_on_parse_error(capsys):
     code, _, err = run(capsys, "decompose", "-d", "2", "-f", "x3 + 1", "-x", "1,1")
     assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import game as gm
-from funcdecomp.core import DimensionMismatchError, NonzeroOriginError, full_mask, mask_cardinality
+from funcdecomp.core import (
+    DimensionMismatchError,
+    NonzeroOriginError,
+    full_mask,
+    mask_cardinality,
+    permute_mask,
+)
 from funcdecomp.expr import ExpressionFunction, NativeFunction
 
 from oracles import all_close, brute_delta_star, brute_shapley, close
@@ -129,7 +136,7 @@ def test_game_validation():
 
 def test_game_from_binary_function_product():
     g = gm.game_from_binary_function(ExpressionFunction("x1 * x2", 2))
-    assert g.values == (0.0, 0.0, 0.0, 1.0)
+    assert g.values.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_game_from_binary_function_additive():
@@ -160,7 +167,7 @@ def test_json_round_trip():
 
 def test_json_missing_empty_defaults_to_zero():
     g = gm.game_from_json({"d": 1, "values": {"1": 2.0}})
-    assert g.values == (0.0, 2.0)
+    assert g.values.tolist() == [0.0, 2.0]
 
 
 def test_json_errors():
@@ -222,6 +229,58 @@ def test_weighted_marginals_gives_dummy_exactly_zero_for_any_weight():
 
 def test_game_from_table_zeroes_a_tolerated_origin_and_rejects_a_large_one():
     g = gm.game_from_table(2, np.array([1e-14, 1.0, 2.0, 4.0]))
-    assert g.values == (0.0, 1.0, 2.0, 4.0)
+    assert g.values.tolist() == [0.0, 1.0, 2.0, 4.0]
     with pytest.raises(NonzeroOriginError, match="a game needs value 0"):
         gm.game_from_table(2, [0.5, 1.0, 2.0, 4.0])
+
+
+def test_game_values_are_a_read_only_float64_copy():
+    source = [0.0, 1.0, 2.0, 4.0]
+    g = gm.Game(2, source)
+    assert g.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        g.values[1] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.values = np.zeros(4)
+    array = np.array(source)
+    h = gm.Game(2, array)
+    source[1] = 9.0
+    array[2] = 9.0
+    assert g.values.tolist() == [0.0, 1.0, 2.0, 4.0]
+    assert h.values.tolist() == [0.0, 1.0, 2.0, 4.0]
+    assert g == h and g != make_game(2, [0, 1, 2, 5])
+
+
+def test_non_finite_payoff_error_names_the_first_bad_coalition():
+    with pytest.raises(gm.GameFormatError, match=r"non-finite payoff inf for coalition 0b10$"):
+        make_game(2, [0, 1, math.inf, math.nan])
+
+
+def test_permute_game_matches_scalar_permute_mask():
+    rng = np.random.default_rng(23)
+    for d in range(1, 7):
+        g = random_game(d, rng)
+        for _ in range(5):
+            perm = tuple(int(v) for v in rng.permutation(d))
+            permuted = gm.permute_game(g, perm)
+            for m in range(1 << d):
+                assert permuted.values[m] == g.values[permute_mask(m, perm)]
+
+
+def test_game_from_binary_function_checks_the_origin_first():
+    def fn(point):
+        if any(point):
+            raise AssertionError("evaluated before the origin was checked")
+        return 1.0
+
+    with pytest.raises(NonzeroOriginError):
+        gm.game_from_binary_function(NativeFunction(fn, 3))
+
+
+def test_json_names_duplicate_and_missing_coalitions():
+    with pytest.raises(gm.GameFormatError, match=r"coalition '2,1' listed twice"):
+        gm.game_from_json({"d": 2, "values": {"1,2": 1.0, "2,1": 1.0}})
+    with pytest.raises(gm.GameFormatError,
+                       match=r"^3 coalition\(s\) missing from the table \(e\.g\. 1, 1,2, 3\)$"):
+        gm.game_from_json({"d": 3, "values": {"2": 1.0, "2,3": 1.0, "1,3": 0.5,
+                                              "1,2,3": 4.0}})
