@@ -142,9 +142,12 @@ def _read_mask_table(path: str, d: int) -> dict[int, float]:
             if mask in table:
                 raise TableFormatError(f"line {lineno}: mask {row[0]!r} listed twice")
             try:
-                table[mask] = float(row[1])
+                value = float(row[1])
             except ValueError:
                 raise TableFormatError(f"line {lineno}: bad value {row[1]!r}") from None
+            if not math.isfinite(value):
+                raise TableFormatError(f"line {lineno}: value {row[1]!r} is not finite")
+            table[mask] = value
     missing = (1 << d) - len(table)
     if missing:
         raise TableFormatError(
@@ -345,27 +348,17 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
     with open(path) as fh:
         data = json.load(fh)
-    config = axioms.SuiteConfig(
-        d=data.get("d", 4),
-        n_functions=data.get("n_functions", 20),
-        n_points=data.get("n_points", 50),
-        n_permutations=data.get("n_permutations", 5),
-        seed=data.get("seed", 2023),
-        tolerance=data.get("tolerance", 1e-9),
-    )
+    config = axioms.build_settings(axioms.SuiteConfig, data, "corpus spec")
+    if "families" not in data:
+        return config, axioms.default_corpus(config)
+    families = data["families"]
+    if not isinstance(families, list):
+        raise ValueError(f"corpus spec: 'families' must be a list, got {families!r}")
     corpus = []
-    if "families" in data:
-        for entry in data["families"]:
-            spec = axioms.CorpusSpec(
-                family=entry["family"],
-                d=entry.get("d", config.d),
-                count=entry.get("count", 1),
-                seed=entry.get("seed", config.seed),
-                params=entry.get("params", {}),
-            )
-            corpus.extend(axioms.generate_corpus(spec))
-    else:
-        corpus = axioms.default_corpus(config)
+    for k, entry in enumerate(families):
+        spec = axioms.build_settings(axioms.CorpusSpec, entry, f"corpus spec families[{k}]",
+                                     d=config.d, seed=config.seed)
+        corpus.extend(axioms.generate_corpus(spec))
     return config, corpus
 
 
@@ -374,14 +367,9 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     if args.corpus_spec:
         config, corpus = _corpus_from_spec_file(args.corpus_spec)
     else:
-        config = axioms.SuiteConfig(
-            d=4 if args.dimension is None else args.dimension,
-            n_functions=args.functions,
-            n_points=args.points,
-            n_permutations=args.perms,
-            seed=args.seed,
-            tolerance=args.tol,
-        )
+        # the suite flags are named after the SuiteConfig fields; unset ones are None
+        flags = {k: v for k, v in vars(args).items() if v is not None}
+        config = axioms.build_settings(axioms.SuiteConfig, flags, "options")
         corpus = axioms.default_corpus(config)
     if not corpus:
         sys.stderr.write("no functions in the corpus\n")
@@ -488,15 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_shapley)
 
     p = sub.add_parser("axioms", help="run the axiom suite for a principle")
-    p.add_argument("corpus_spec", nargs="?", help="corpus spec JSON path")
+    p.add_argument("corpus_spec", nargs="?",
+                   help="corpus spec JSON path; the suite flags below are then ignored")
     p.add_argument("--principle", default="delta-star", choices=sorted(axioms.PRINCIPLES))
-    p.add_argument("-d", "--dimension", type=int)
-    p.add_argument("--functions", type=int, default=20)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--perms", type=int, default=5)
-    p.add_argument("--seed", type=int, default=2023)
+    p.add_argument("-d", "--dimension", dest="d", type=int)
+    p.add_argument("--functions", dest="n_functions", type=int)
+    p.add_argument("--points", dest="n_points", type=int)
+    p.add_argument("--perms", dest="n_permutations", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", dest="tolerance", type=float)
     p.set_defaults(handler=cmd_axioms)
 
     p = sub.add_parser("example1", help="stock in foreign currency: two-factor gain split")

@@ -55,6 +55,14 @@ def validate_dimension(d: int, cap: int | None = None) -> int:
     return d
 
 
+def seeded_rng(seed: int, salt: int) -> np.random.Generator:
+    """Counter-based generator keyed by ``(seed mod 2**64, salt)``: a fixed
+    key gives the same stream on every platform, and any integer seed,
+    negative ones included, names a stream."""
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, salt], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def as_point(coords: Iterable[float], d: int | None = None) -> Point:
     """Validate and freeze a coordinate sequence into a point tuple.
 

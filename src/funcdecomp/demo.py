@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import Point, as_point
+from .core import Point, as_point, seeded_rng
 from .expr import NativeFunction
 
 VAR_LEVEL = 0.995
@@ -50,7 +50,7 @@ class ClaimsModel:
         self.exposures = exposures
         self.loadings = loadings
         self.d = loadings.shape[1]
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC1A1], dtype=np.uint64)))
+        rng = seeded_rng(seed, 0xC1A1)
         self.scenarios = rng.lognormal(mean=0.0, sigma=1.0,
                                        size=(n_scenarios, exposures.shape[0]))
         self.baseline = self.value_at_risk((0.0,) * self.d)
@@ -75,7 +75,7 @@ def build_claims_model(portfolio_size: int, n_factors: int, n_scenarios: int,
     identically to every factor, so the model is symmetric in the factors."""
     if portfolio_size < 1 or n_factors < 1:
         raise ValueError("portfolio size and factor count must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB11D], dtype=np.uint64)))
+    rng = seeded_rng(seed, 0xB11D)
     exposures = rng.uniform(0.5, 1.5, size=portfolio_size)
     if loading is None:
         loadings = rng.normal(0.0, 0.3, size=(portfolio_size, n_factors))

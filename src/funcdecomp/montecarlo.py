@@ -2,8 +2,8 @@
 dimensions where enumerating all d! activation orders is infeasible.
 
 Activation orders are drawn uniformly from counter-based random streams:
-sample chunk ``c`` of a run with seed ``s`` always uses the Philox stream
-keyed by ``(s, c)``, so the estimate is reproducible bit for bit.  Chunks
+sample chunk ``c`` of a run with seed ``s`` always uses the stream
+``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.  Chunks
 run one after another in one thread; ``workers`` is accepted for
 compatibility and changes neither the result nor the speed.
 """
@@ -22,6 +22,7 @@ from .core import (
     NonzeroOriginError,
     Point,
     as_point,
+    seeded_rng,
     validate_dimension,
 )
 from .expr import FunctionHandle
@@ -48,11 +49,6 @@ class EstimatorReport:
         return math.fsum(self.estimate)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _chunk_contributions(fn: FunctionHandle, x: Point, base: float,
                          memo: dict[int, float], seed: int, chunk_index: int,
                          size: int) -> np.ndarray:
@@ -62,7 +58,7 @@ def _chunk_contributions(fn: FunctionHandle, x: Point, base: float,
     call (ascending, as ``np.unique`` returns them) and added to it.
     """
     d = fn.d
-    rng = _chunk_rng(seed, chunk_index)
+    rng = seeded_rng(seed, chunk_index)
     perms = rng.permuted(np.tile(np.arange(d), (size, 1)), axis=1)
     prefix = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
     masks, where = np.unique(prefix, return_inverse=True)

@@ -151,6 +151,16 @@ def test_a5_zero_multiplier_gives_zero_decomposition():
         assert DELTA_STAR(zero, x) == (0.0, 0.0)
 
 
+def test_a4_a5_deviation_is_relative_to_every_compared_vector():
+    # squaring breaks linearity; at x = (1, 2), F = 2: g = g_other = (4, 0),
+    # g_sum = g_scaled (alpha = 2) = (16, 0), so both gaps are 8 and both
+    # scales 1 + 16, though the first vector alone would give 1 + 4
+    square = Principle("square", lambda f, x: (f(x) ** 2, 0.0))
+    v4, v5 = check_A4_A5_linearity(square, PRODUCT, PRODUCT, 2.0, [(1.0, 2.0)])
+    assert (v4.status, v5.status) == (FAIL, FAIL)
+    assert v4.max_deviation == v5.max_deviation == 8.0 / 17.0
+
+
 def test_a4_cancellation():
     from funcdecomp.expr import linear_combine
     cancel = linear_combine([(-1.0, PRODUCT), (1.0, PRODUCT)])
@@ -185,6 +195,38 @@ def test_a7_single_coefficient_guard():
     direction = ExpressionFunction("x1", 2)
     verdict = check_A7_continuity_of_delta(DELTA_STAR, PRODUCT, direction, [1.0], pts(2, 10))
     assert verdict.status == PARTIAL and "skipped" in verdict.note
+
+
+def test_a7_fails_when_deviations_grow_as_the_coefficient_shrinks():
+    # broken on purpose: reports 1 / |change of F| as the first contribution
+    def compute(fn, x):
+        return (0.0 if fn is PRODUCT else 1.0 / abs(fn(x) - PRODUCT(x)), 0.0)
+
+    direction = ExpressionFunction("x1", 2)
+    verdict = check_A7_continuity_of_delta(
+        Principle("blows-up", compute), PRODUCT, direction, [1.0, 0.1, 0.01], pts(2, 10))
+    assert verdict.status == FAIL
+    assert [w[0] for w in verdict.witnesses] == [
+        "coefficient 1", "coefficient 0.1", "coefficient 0.01"]
+    devs = [w[1] for w in verdict.witnesses]
+    assert devs[0] < devs[1] < devs[2]
+    assert verdict.max_deviation == devs[-1]
+    assert verdict.note == "deviations do not decrease with the perturbation"
+
+
+def test_a8_fails_when_deviations_grow_as_the_step_shrinks():
+    # broken on purpose: reports 1 / distance from (1, 1) as the first contribution
+    def compute(fn, x):
+        return (0.0 if tuple(x) == (1.0, 1.0) else 1.0 / math.dist(x, (1.0, 1.0)), 0.0)
+
+    verdict = check_A8_continuity_inheritance(
+        Principle("blows-up", compute), PRODUCT, (1.0, 1.0), [1e-1, 1e-2, 1e-3], seed=3)
+    assert verdict.status == FAIL
+    assert [w[0] for w in verdict.witnesses] == ["step 0.1", "step 0.01", "step 0.001"]
+    devs = [w[1] for w in verdict.witnesses]
+    assert devs == pytest.approx([1e1, 1e2, 1e3], rel=1e-6)
+    assert verdict.max_deviation == devs[-1]
+    assert verdict.note == "contribution deviations do not decrease"
 
 
 def test_a8_polynomial_deviations_shrink():

@@ -221,6 +221,17 @@ def test_exit_code_3_on_bad_header(capsys, tmp_path):
     assert code == 3
 
 
+def test_exit_code_3_on_non_finite_table_value(capsys, tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        table = tmp_path / "table.csv"
+        table.write_text(f"mask,value\n,0.0\n1,{bad}\n")
+        code, out, err = run(capsys, "decompose", "-d", "1", "--table-csv", str(table),
+                             "-x", "1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: line 3: value '{bad}' is not finite\n"
+
+
 def test_table_mode_requires_anchor_point(capsys, tmp_path):
     table = tmp_path / "table.csv"
     table.write_text("mask,value\n,0.0\n1,1.0\n")
@@ -321,6 +332,31 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "axioms", str(path))
     assert code == 2
     assert "no functions" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([{"family": "polynomial"}], "corpus spec must be a JSON object, got list"),
+    ({"d": 2, "families": [{"count": 2}]}, "corpus spec families[0] needs the key 'family'"),
+    ({"n_functions": "3"}, "corpus spec: 'n_functions' must be of type int, got '3'"),
+])
+def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "axioms", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_axioms_and_example3_accept_a_negative_seed(capsys):
+    code, out, err = run(capsys, "axioms", "--seed", "-1", "-d", "2", "--functions", "3",
+                         "--points", "4", "--perms", "1")
+    assert code == 0 and err == ""
+    assert [json.loads(line) for line in out.strip().splitlines()]
+    code, payload, err = run_json(capsys, "example3", "--seed", "-1", "-d", "2",
+                                  "--portfolio", "5", "--scenarios", "1000")
+    assert code == 0 and err == ""
+    assert payload["seed"] == -1
 
 
 def test_axioms_rejects_a_non_positive_dimension(capsys):

@@ -162,3 +162,13 @@ def test_permutation_average_marginals_matches_direct_enumeration():
         expected = [e / math.factorial(d) for e in expected]
         got = core.permutation_average_marginals(values, d)
         assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_seeded_rng_reduces_the_seed_mod_2_to_the_64():
+    for s in (-1, 0, 2023):
+        a = core.seeded_rng(s, 0xA2).random(8)
+        b = core.seeded_rng(s + 2**64, 0xA2).random(8)
+        assert a.tolist() == b.tolist()
+    assert core.seeded_rng(-1, 0).random(4).tolist() == \
+        core.seeded_rng(2**64 - 1, 0).random(4).tolist()
+    assert core.seeded_rng(1, 0).random(4).tolist() != core.seeded_rng(1, 1).random(4).tolist()
