@@ -10,10 +10,8 @@ from .core import (
     NonFiniteCoordinateError,
     NonzeroOriginError,
     as_point,
-    hadamard,
     permutation_from_ranks,
     permute,
-    prefix_indicator,
     project,
 )
 from .decomp import (
@@ -37,8 +35,6 @@ from .expr import (
     TableFunction,
     compose_coordinate_maps,
     compose_permutation,
-    compose_projection,
-    evaluate,
     linear_combine,
     parse,
 )
@@ -48,7 +44,6 @@ from .game import (
     GameFormatError,
     game_from_binary_function,
     game_from_json,
-    game_to_json,
     induced_game,
     shapley,
     shapley_permutation_oracle,
@@ -83,22 +78,17 @@ __all__ = [
     "as_subset",
     "compose_coordinate_maps",
     "compose_permutation",
-    "compose_projection",
     "delta_star",
     "estimate_as",
     "estimate_delta_star",
-    "evaluate",
     "game_from_binary_function",
     "game_from_json",
-    "game_to_json",
-    "hadamard",
     "induced_game",
     "linear_combine",
     "parse",
     "permutation_from_ranks",
     "permute",
     "pointwise_shapley",
-    "prefix_indicator",
     "project",
     "sequential",
     "shapley",

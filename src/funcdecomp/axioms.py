@@ -462,24 +462,6 @@ def monomial(q: Sequence[int]) -> ExpressionFunction:
     return _power_product([f"x{i + 1}" for i in range(len(q))], q)
 
 
-def monomial_expansion(q: Sequence[int]) -> FunctionHandle:
-    """The monomial x^q rebuilt as a signed combination of one-sided
-    products, one term per sign choice on the active coordinates."""
-    d = len(q)
-    support = [i for i, qi in enumerate(q) if qi > 0]
-    terms = []
-    for signs in itertools.product((1, -1), repeat=len(support)):
-        s = [1] * d
-        coef = 1.0
-        for i, si in zip(support, signs):
-            s[i] = si
-            coef *= float(si ** q[i])
-        terms.append((coef, max_monomial(q, s)))
-    if not terms:
-        return ExpressionFunction("1", d)
-    return linear_combine(terms)
-
-
 def constant_function(c: float, d: int) -> ExpressionFunction:
     fn = ExpressionFunction(repr(float(c)), d)
     fn.dummy_coordinates = tuple(range(d))
@@ -611,18 +593,29 @@ class SuiteConfig:
     seed: int = 2023
     tolerance: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for name, least in (("n_functions", 1), ("n_points", 1), ("n_permutations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+
 
 # keyed by the field annotations, which are strings under postponed evaluation
 _SETTING_TYPES = {"int": int, "float": (int, float), "str": str, "Mapping": Mapping}
 
 
-def build_settings(cls: type, data: object, what: str, **defaults):
+def build_settings(cls: type, data: object, what: str, other_keys: tuple[str, ...] = (),
+                   **defaults):
     """Validate a mapping keyed by the field names of ``cls`` (`SuiteConfig`
     or `CorpusSpec`) and build it.  A field missing from ``data`` takes its
-    value from ``defaults``, else the field's own default; other keys are
-    ignored.  A malformed mapping raises ValueError naming ``what``."""
+    value from ``defaults``, else the field's own default; ``other_keys``
+    may appear and are left to the caller.  A malformed mapping, or a key
+    that names nothing, raises ValueError naming ``what``."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    known = {f.name for f in fields(cls)}.union(other_keys)
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{what}: unknown key {key!r}")
     values = dict(defaults)
     for f in fields(cls):
         if f.name in data:

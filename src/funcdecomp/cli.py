@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -348,7 +349,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
     with open(path) as fh:
         data = json.load(fh)
-    config = axioms.build_settings(axioms.SuiteConfig, data, "corpus spec")
+    config = axioms.build_settings(axioms.SuiteConfig, data, "corpus spec", ("families",))
     if "families" not in data:
         return config, axioms.default_corpus(config)
     families = data["families"]
@@ -368,7 +369,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         config, corpus = _corpus_from_spec_file(args.corpus_spec)
     else:
         # the suite flags are named after the SuiteConfig fields; unset ones are None
-        flags = {k: v for k, v in vars(args).items() if v is not None}
+        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(axioms.SuiteConfig)
+                 if getattr(args, f.name) is not None}
         config = axioms.build_settings(axioms.SuiteConfig, flags, "options")
         corpus = axioms.default_corpus(config)
     if not corpus:

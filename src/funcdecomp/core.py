@@ -80,10 +80,6 @@ def as_point(coords: Iterable[float], d: int | None = None) -> Point:
     return point
 
 
-def ones_point(d: int) -> Point:
-    return (1.0,) * validate_dimension(d)
-
-
 def _check_same_dimension(x: Sequence[float], y: Sequence[float]) -> None:
     if len(x) != len(y):
         raise DimensionMismatchError(f"dimension mismatch: {len(x)} vs {len(y)}")
@@ -143,28 +139,10 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_cardinality(mask: int) -> int:
-    return mask.bit_count()
-
-
 def project(x: Sequence[float], mask: int) -> Point:
     """Zero out every coordinate whose index is not in the subset."""
     validate_mask(mask, len(x))
     return tuple(c if mask >> i & 1 else 0.0 for i, c in enumerate(x))
-
-
-def hadamard(x: Sequence[float], y: Sequence[float]) -> Point:
-    """Componentwise product of two equally sized vectors."""
-    _check_same_dimension(x, y)
-    return tuple(a * b for a, b in zip(x, y))
-
-
-def prefix_indicator(i: int, d: int) -> Point:
-    """Binary vector with ones at positions 1..i (i = 0 gives the origin)."""
-    validate_dimension(d)
-    if not 0 <= i <= d:
-        raise DimensionMismatchError(f"prefix length {i} outside 0..{d}")
-    return (1.0,) * i + (0.0,) * (d - i)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +152,7 @@ def prefix_indicator(i: int, d: int) -> Point:
 def permutation_from_ranks(ranks: Iterable[int]) -> Permutation:
     """Convert a user-facing 1-based permutation tuple to internal 0-based form."""
     perm = tuple(int(r) - 1 for r in ranks)
-    _validate_permutation(perm)
+    validate_permutation(perm)
     return perm
 
 
@@ -182,7 +160,7 @@ def ranks_from_permutation(perm: Permutation) -> tuple[int, ...]:
     return tuple(p + 1 for p in perm)
 
 
-def _validate_permutation(perm: Sequence[int]) -> None:
+def validate_permutation(perm: Sequence[int]) -> None:
     d = len(perm)
     if sorted(perm) != list(range(d)):
         raise DimensionMismatchError(f"not a permutation of 0..{d - 1}: {perm!r}")
@@ -197,12 +175,6 @@ def inverse_permutation(perm: Permutation) -> Permutation:
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
-    """Composition r with permute(x, r) == permute(permute(x, p), q)."""
-    _check_same_dimension(p, q)
-    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def permute(x: Sequence[float], perm: Permutation) -> Point:

@@ -1,7 +1,7 @@
 """User-defined functions of d real arguments: a small expression language,
 black-box and lookup-table handles, and the compositions (relabeling,
-projection, per-coordinate rescaling, linear combination) the decomposition
-machinery works with.
+per-coordinate rescaling, linear combination) the decomposition machinery
+works with.
 
 Evaluation conventions, chosen so the max-monomial family behaves:
 
@@ -9,8 +9,10 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 * ``sign(0) = 0``.
 
 Every handle evaluates a function on many projected points of one anchor
-through ``evaluate_masks``.  Expressions do that with numpy over blocks of
-points; other handles call the scalar path once per point.  An expression
+through ``evaluate_masks``, which runs the handle's block path over blocks
+of points and re-runs any point a block rejects through the scalar path.
+Expressions, and compositions of expressions, evaluate a block with numpy;
+Python callables and lookup tables go one point at a time.  An expression
 is flattened once into a post-order program over one operation table, and
 its scalar and batched paths both run that program.
 """
@@ -31,16 +33,18 @@ from .core import (
     Permutation,
     Point,
     as_point,
+    inverse_permutation,
     permute,
+    permute_mask,
     project,
     validate_dimension,
-    validate_mask,
     validate_masks,
+    validate_permutation,
 )
 
-# Projected points per numpy block in ExpressionFunction.evaluate_masks: the
-# working set is a few arrays of this length per tree node, whatever the
-# number of masks.
+# Projected points per block in FunctionHandle.evaluate_masks: the working
+# set of an expression is a few arrays of this length per tree node,
+# whatever the number of masks.
 MASK_BLOCK = 4096
 # Blocks up to this many points call ^, exp and ln once per point instead
 # of once per distinct operand (see _per_operand).
@@ -433,10 +437,6 @@ def _run_block(program: tuple, cols: list, ok: np.ndarray) -> "np.ndarray | floa
     return stack[0]
 
 
-def evaluate_node(node: Node, x: Sequence[float]) -> float:
-    return _run(_flatten(node), x)
-
-
 def format_expression(node: Node) -> str:
     """Render a tree back to source text (fully parenthesized)."""
     if isinstance(node, Num):
@@ -457,8 +457,10 @@ def format_expression(node: Node) -> str:
 class FunctionHandle:
     """Evaluatable representation of a function of ``d`` real arguments.
 
-    Handles are immutable after construction and evaluation is pure, so
-    they may be shared and called concurrently.
+    A handle has a scalar path, ``_evaluate`` at one point, and a block
+    path, ``_evaluate_block``; ``evaluate_masks`` drives the block path and
+    falls back to the scalar one.  Handles are immutable after construction
+    and evaluation is pure, so they may be shared and called concurrently.
     """
 
     d: int
@@ -474,16 +476,47 @@ class FunctionHandle:
     def _evaluate(self, x: Point) -> float:
         raise NotImplementedError
 
+    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+        """Values at one point per mask, whose coordinate j is ``on[j]``
+        where bit j of the mask is set and ``off[j]`` elsewhere.
+
+        A value the block leaves finite equals the scalar path's bit for
+        bit; a point the scalar path may reject is left NaN or makes the
+        block raise.  This implementation calls the scalar path once per
+        point.
+        """
+        coords = tuple(zip(on, off))
+        return np.array([self(tuple(a if m >> j & 1 else b for j, (a, b) in enumerate(coords)))
+                         for m in masks.tolist()], dtype=float)
+
     def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
         """Values at the projected points ``project(x, m)``, one per mask,
-        in the order given.
+        in the order given, computed over blocks of at most ``MASK_BLOCK``
+        masks.
 
-        The base implementation calls the scalar path once per mask, so it
-        raises the ``EvaluationError`` of the first failing mask.
+        Every value equals the scalar path's bit for bit.  Points a block
+        leaves non-finite, and every point of a block that raises, are
+        re-evaluated one by one through the scalar path, in the order
+        given, so the first failing mask and its error are the scalar
+        path's too.  A mask's value does not depend on the block it lands
+        in.
         """
         point = as_point(x, self.d)
         masks = validate_masks(masks, self.d)
-        return np.array([self(project(point, m)) for m in masks.tolist()], dtype=float)
+        origin = (0.0,) * self.d
+        out = np.empty(len(masks))
+        with np.errstate(all="ignore"):
+            for start in range(0, len(masks), MASK_BLOCK):
+                block = masks[start:start + MASK_BLOCK]
+                values = out[start:start + len(block)]
+                try:
+                    values[:] = self._evaluate_block(point, origin, block)
+                    rerun = np.flatnonzero(~np.isfinite(values)).tolist()
+                except Exception:  # of any kind: the scalar path re-raises the first one
+                    rerun = range(len(block))
+                for k in rerun:
+                    values[k] = self(project(point, int(block[k])))
+        return out
 
 
 class ExpressionFunction(FunctionHandle):
@@ -500,33 +533,15 @@ class ExpressionFunction(FunctionHandle):
     def _evaluate(self, x: Point) -> float:
         return float(_run(self._program, x))
 
-    def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
-        """Values at the projected points ``project(x, m)``, one per mask,
-        in the order given, computed with numpy over blocks of at most
-        ``MASK_BLOCK`` points.
-
-        Every value equals the scalar path's bit for bit.  Points the
-        batched path flags (those whose scalar evaluation raises or
-        passes through a non-finite value) are re-evaluated one by one
-        through the scalar path, in the order given, so the first failing
-        mask and its ``EvaluationError`` are the scalar path's too.  A
-        mask's value does not depend on the block it lands in.
-        """
-        point = as_point(x, self.d)
-        masks = validate_masks(masks, self.d)
-        out = np.empty(len(masks))
+    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+        """The program run with numpy over the block's coordinate columns;
+        points whose scalar evaluation raises or passes through a
+        non-finite value are left NaN."""
         cols: list = [None] * self.d
-        with np.errstate(all="ignore"):
-            for start in range(0, len(masks), MASK_BLOCK):
-                block = masks[start:start + MASK_BLOCK]
-                for j in self._variables:
-                    cols[j] = np.where(block >> j & 1, point[j], 0.0)
-                ok = np.ones(len(block), dtype=bool)
-                values = out[start:start + len(block)]
-                values[:] = _run_block(self._program, cols, ok)
-                for k in np.flatnonzero(~ok).tolist():
-                    values[k] = self(project(point, int(block[k])))
-        return out
+        for j in self._variables:
+            cols[j] = np.where(masks >> j & 1, on[j], off[j])
+        ok = np.ones(len(masks), dtype=bool)
+        return np.where(ok, _run_block(self._program, cols, ok), math.nan)
 
 
 class NativeFunction(FunctionHandle):
@@ -574,29 +589,65 @@ class TableFunction(FunctionHandle):
             raise EvaluationError(f"point {x} is not covered by the lookup table") from None
 
 
-def evaluate(fn: FunctionHandle, x: Sequence[float]) -> float:
-    """Evaluate a handle at a point."""
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
-# Compositions (lazy wrappers; no symbolic simplification)
+# Compositions (lazy wrappers; no symbolic simplification).  Each block
+# rewrites the block's points as points of the inner function and runs the
+# inner block, so a composition of expressions evaluates with numpy.
+
+
+class _Relabeled(FunctionHandle):
+    def __init__(self, fn: FunctionHandle, perm: Permutation) -> None:
+        self.d, self.fn, self.perm = fn.d, fn, perm
+        self.inverse = inverse_permutation(perm)
+        self.label = f"{fn.label} o perm{perm}"
+
+    def _evaluate(self, x: Point) -> float:
+        return self.fn(permute(x, self.perm))
+
+    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+        # coordinate i of the relabeled point is coordinate perm[i], so it is
+        # on where bit perm[i] of the mask is set
+        return self.fn._evaluate_block(permute(on, self.perm), permute(off, self.perm),
+                                       permute_mask(masks, self.inverse))
+
+
+class _Reparameterized(FunctionHandle):
+    def __init__(self, fn: FunctionHandle, maps: Sequence["CoordinateMap"]) -> None:
+        self.d, self.fn, self.maps = fn.d, fn, tuple(maps)
+        self.label = f"{fn.label} o maps"
+
+    def _mapped(self, x: Sequence[float]) -> Point:
+        return tuple(h(c) for h, c in zip(self.maps, x))
+
+    def _evaluate(self, x: Point) -> float:
+        return self.fn(self._mapped(x))
+
+    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+        # off becomes h(off), not 0.0: a map may send 0.0 to -0.0; as_point
+        # rejects a non-finite image as the scalar path does
+        return self.fn._evaluate_block(as_point(self._mapped(on)), as_point(self._mapped(off)),
+                                       masks)
+
+
+class _LinearCombination(FunctionHandle):
+    def __init__(self, terms: tuple[tuple[float, FunctionHandle], ...]) -> None:
+        self.d, self.terms = terms[0][1].d, terms
+        self.label = " + ".join(f"{a}*{fn.label}" for a, fn in terms)
+
+    def _evaluate(self, x: Point) -> float:
+        return math.fsum(a * fn(x) for a, fn in self.terms)
+
+    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+        blocks = [a * fn._evaluate_block(on, off, masks) for a, fn in self.terms]
+        return np.array([math.fsum(row) for row in np.column_stack(blocks).tolist()], dtype=float)
 
 
 def compose_permutation(fn: FunctionHandle, perm: Permutation) -> FunctionHandle:
     """The relabeled function x -> fn(permute(x, perm))."""
     if len(perm) != fn.d:
         raise DimensionMismatchError(f"permutation length {len(perm)} != d {fn.d}")
-    out = NativeFunction(lambda x: fn(permute(x, perm)), fn.d,
-                         label=f"{fn.label} o perm{perm}")
-    return out
-
-
-def compose_projection(fn: FunctionHandle, mask: int) -> FunctionHandle:
-    """The function x -> fn(project(x, mask))."""
-    validate_mask(mask, fn.d)
-    return NativeFunction(lambda x: fn(project(x, mask)), fn.d,
-                          label=f"{fn.label} o proj({mask:#x})")
+    validate_permutation(perm)
+    return _Relabeled(fn, tuple(perm))
 
 
 def compose_coordinate_maps(fn: FunctionHandle, maps: Sequence["CoordinateMap"]) -> FunctionHandle:
@@ -606,11 +657,7 @@ def compose_coordinate_maps(fn: FunctionHandle, maps: Sequence["CoordinateMap"])
     for h in maps:
         if not isinstance(h, CoordinateMap):
             raise TypeError(f"not a coordinate map: {h!r}")
-
-    def apply(x: Point) -> float:
-        return fn(tuple(h(c) for h, c in zip(maps, x)))
-
-    return NativeFunction(apply, fn.d, label=f"{fn.label} o maps")
+    return _Reparameterized(fn, maps)
 
 
 def linear_combine(terms: Sequence[tuple[float, FunctionHandle]]) -> FunctionHandle:
@@ -621,12 +668,7 @@ def linear_combine(terms: Sequence[tuple[float, FunctionHandle]]) -> FunctionHan
     for _, fn in terms:
         if fn.d != d:
             raise DimensionMismatchError(f"dimension mismatch: {fn.d} vs {d}")
-    frozen = tuple((float(a), fn) for a, fn in terms)
-
-    def apply(x: Point) -> float:
-        return math.fsum(a * fn(x) for a, fn in frozen)
-
-    return NativeFunction(apply, d, label=" + ".join(f"{a}*{fn.label}" for a, fn in frozen))
+    return _LinearCombination(tuple((float(a), fn) for a, fn in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +745,3 @@ class PiecewiseLinearMap(CoordinateMap):
             lo = hi - 1
         slope = (ys[hi] - ys[lo]) / (xs[hi] - xs[lo])
         return ys[lo] + slope * (t - xs[lo])
-
-
-def identity_map() -> CoordinateMap:
-    return ScaleMap(1.0)

@@ -234,13 +234,6 @@ def game_from_json(data: Mapping) -> Game:
     return Game(d, values)
 
 
-def game_to_json(game: Game) -> dict:
-    return {
-        "d": game.d,
-        "values": {_coalition_key(m): v for m, v in enumerate(game.values.tolist())},
-    }
-
-
 def _coalition_key(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from collections import Counter
@@ -31,7 +32,13 @@ from funcdecomp.axioms import (
     run_axiom_suite,
     sample_points,
 )
-from funcdecomp.expr import ExpressionFunction, OddPowerMap, PiecewiseLinearMap, ScaleMap
+from funcdecomp.expr import (
+    ExpressionFunction,
+    OddPowerMap,
+    PiecewiseLinearMap,
+    ScaleMap,
+    linear_combine,
+)
 from funcdecomp.game import Game, shapley
 
 
@@ -145,7 +152,6 @@ def test_a4_a5_linearity_of_delta_star():
 def test_a5_zero_multiplier_gives_zero_decomposition():
     _, v5 = check_A4_A5_linearity(DELTA_STAR, PRODUCT, PRODUCT, 0.0, pts(2, 20))
     assert v5.status == PASS
-    from funcdecomp.expr import linear_combine
     zero = linear_combine([(0.0, PRODUCT)])
     for x in pts(2, 5):
         assert DELTA_STAR(zero, x) == (0.0, 0.0)
@@ -162,7 +168,6 @@ def test_a4_a5_deviation_is_relative_to_every_compared_vector():
 
 
 def test_a4_cancellation():
-    from funcdecomp.expr import linear_combine
     cancel = linear_combine([(-1.0, PRODUCT), (1.0, PRODUCT)])
     for x in pts(2, 5):
         assert DELTA_STAR(cancel, x) == (0.0, 0.0)
@@ -347,9 +352,15 @@ def test_max_monomial_matches_relu_product():
 
 
 def test_monomial_expansion_matches_monomial():
+    # x^q as a signed combination of one-sided products, one term per sign
+    # choice on the active coordinates
     for q in ([2, 1], [1, 0], [3, 2], [0, 2]):
         direct = axioms.monomial(q)
-        expanded = axioms.monomial_expansion(q)
+        terms = []
+        for s in itertools.product(*[(1, -1) if qi else (1,) for qi in q]):
+            coef = math.prod(float(si ** qi) for si, qi in zip(s, q))
+            terms.append((coef, axioms.max_monomial(q, s)))
+        expanded = linear_combine(terms)
         for x in pts(2, 25, seed=2):
             assert direct(x) == pytest.approx(expanded(x), rel=1e-12, abs=1e-12)
 
@@ -434,6 +445,13 @@ def test_suite_skips_inadmissible_functions_for_zero_origin_principles():
     skipped = [r for r in records if r.axiom == "admissibility"]
     assert skipped  # the default corpus contains origin-shifted functions
     assert all(r.verdict.status == PARTIAL for r in skipped)
+
+
+def test_suite_config_rejects_out_of_range_counts():
+    for field, bad in (("n_functions", 0), ("n_points", -2), ("n_permutations", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            small_config(**{field: bad})
+    assert small_config(n_permutations=0, n_points=1, n_functions=1).n_permutations == 0
 
 
 def test_suite_rejects_empty_corpus():

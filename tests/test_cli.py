@@ -338,11 +338,31 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     ([{"family": "polynomial"}], "corpus spec must be a JSON object, got list"),
     ({"d": 2, "families": [{"count": 2}]}, "corpus spec families[0] needs the key 'family'"),
     ({"n_functions": "3"}, "corpus spec: 'n_functions' must be of type int, got '3'"),
+    ({"n_point": 5}, "corpus spec: unknown key 'n_point'"),
+    ({"d": 2, "families": [{"family": "polynomial", "cout": 2}]},
+     "corpus spec families[0]: unknown key 'cout'"),
+    ({"d": 2, "families": [{"family": "polynomial", "families": []}]},
+     "corpus spec families[0]: unknown key 'families'"),
+    ({"n_points": 0}, "n_points must be at least 1, got 0"),
 ])
 def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "axioms", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--functions", "0"), "n_functions must be at least 1, got 0"),
+    (("--functions", "-1"), "n_functions must be at least 1, got -1"),
+    (("--points", "0"), "n_points must be at least 1, got 0"),
+    (("--points", "-2"), "n_points must be at least 1, got -2"),
+    (("--perms", "-1"), "n_permutations must be at least 0, got -1"),
+])
+def test_axioms_rejects_out_of_range_counts(capsys, flags, message):
+    code, out, err = run(capsys, "axioms", *flags)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
