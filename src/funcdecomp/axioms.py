@@ -603,16 +603,14 @@ class SuiteConfig:
 _SETTING_TYPES = {"int": int, "float": (int, float), "str": str, "Mapping": Mapping}
 
 
-def build_settings(cls: type, data: object, what: str, other_keys: tuple[str, ...] = (),
-                   **defaults):
+def build_settings(cls: type, data: object, what: str, **defaults):
     """Validate a mapping keyed by the field names of ``cls`` (`SuiteConfig`
     or `CorpusSpec`) and build it.  A field missing from ``data`` takes its
-    value from ``defaults``, else the field's own default; ``other_keys``
-    may appear and are left to the caller.  A malformed mapping, or a key
-    that names nothing, raises ValueError naming ``what``."""
+    value from ``defaults``, else the field's own default.  A malformed
+    mapping, or a key that names nothing, raises ValueError naming ``what``."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}.union(other_keys)
+    known = {f.name for f in fields(cls)}
     for key in data:
         if key not in known:
             raise ValueError(f"{what}: unknown key {key!r}")

@@ -349,8 +349,11 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
     with open(path) as fh:
         data = json.load(fh)
-    config = axioms.build_settings(axioms.SuiteConfig, data, "corpus spec", ("families",))
-    if "families" not in data:
+    settings = data  # the spec without its "families" key
+    if isinstance(data, dict) and "families" in data:
+        settings = {key: value for key, value in data.items() if key != "families"}
+    config = axioms.build_settings(axioms.SuiteConfig, settings, "corpus spec")
+    if settings is data:
         return config, axioms.default_corpus(config)
     families = data["families"]
     if not isinstance(families, list):

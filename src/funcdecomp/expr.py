@@ -483,11 +483,18 @@ class FunctionHandle:
         A value the block leaves finite equals the scalar path's bit for
         bit; a point the scalar path may reject is left NaN or makes the
         block raise.  This implementation calls the scalar path once per
-        point.
+        point and stops at the first point that raises, leaving it and the
+        rest NaN, so no point is called after the one whose error the
+        re-run in ``evaluate_masks`` raises.
         """
         coords = tuple(zip(on, off))
-        return np.array([self(tuple(a if m >> j & 1 else b for j, (a, b) in enumerate(coords)))
-                         for m in masks.tolist()], dtype=float)
+        values = np.full(len(masks), math.nan)
+        for k, m in enumerate(masks.tolist()):
+            try:
+                values[k] = self(tuple(a if m >> j & 1 else b for j, (a, b) in enumerate(coords)))
+            except Exception:  # of any kind: the scalar re-run raises it again
+                break
+        return values
 
     def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
         """Values at the projected points ``project(x, m)``, one per mask,
@@ -541,7 +548,10 @@ class ExpressionFunction(FunctionHandle):
         for j in self._variables:
             cols[j] = np.where(masks >> j & 1, on[j], off[j])
         ok = np.ones(len(masks), dtype=bool)
-        return np.where(ok, _run_block(self._program, cols, ok), math.nan)
+        values = _run_block(self._program, cols, ok)
+        if isinstance(values, np.ndarray) and ok.all():
+            return values
+        return np.where(ok, values, math.nan)
 
 
 class NativeFunction(FunctionHandle):

@@ -372,6 +372,7 @@ def _raises(fn, x, masks):
 def test_batched_evaluation_matches_scalar_path(tree, x, masks):
     fn = expr.ExpressionFunction(expr.format_expression(tree), 3)
     values, error = _scalar_table(fn, x, masks)
+    assert error is None or error.startswith("EvaluationError: ")
     repeated = masks * (expr._SHORT + 1)  # a block long enough to share operands
     if error is not None:
         first = len(values)  # the mask the scalar path failed on
@@ -449,6 +450,32 @@ def test_composition_errors_come_from_the_first_failing_mask():
         assert len(values) == 1 and message in error
         assert _raises(fn, x, masks) == error
         assert _raises(fn, x, masks[:1]) is None
+
+
+def test_scalar_handles_call_each_point_once_up_to_the_first_error():
+    calls = []
+
+    def fails_at_mask_5(y):
+        calls.append(y)
+        if y == (1.0, 0.0, 1.0, 0.0):
+            raise ValueError("native failure at mask 5")
+        return y[0]
+
+    native = expr.NativeFunction(fails_at_mask_5, 4)
+    x = (1.0, 2.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="mask 5"):
+        native.evaluate_masks(x, range(16))
+    # masks 0-4 once, mask 5 in the block and again in the re-run, none after
+    assert calls == [core.project(x, m) for m in (0, 1, 2, 3, 4, 5, 5)]
+
+    # in a linear combination the failing term sends no other row of the
+    # block back to the scalar path
+    calls.clear()
+    other = expr.ExpressionFunction("x2 * x4", 4)
+    combined = expr.linear_combine([(1.0, native), (2.0, other)])
+    with pytest.raises(ValueError, match="mask 5"):
+        combined.evaluate_masks(x, range(16))
+    assert calls == [core.project(x, m) for m in (0, 1, 2, 3, 4, 5, 5)]
 
 
 def test_compositions_of_expressions_make_no_scalar_evaluations(monkeypatch):
