@@ -103,24 +103,34 @@ class AxiomVerdict:
 
 @dataclass(frozen=True)
 class Principle:
-    """A named map from (function, point) to contribution values."""
+    """A named map from a function and a list of points to one tuple of
+    contribution values per point."""
 
     name: str
-    compute: Callable[[FunctionHandle, Sequence[float]], tuple[float, ...]]
+    compute: Callable[[FunctionHandle, Sequence[Sequence[float]]],
+                      Sequence[Sequence[float]]]
     requires_zero_origin: bool = False
 
+    def decompose(self, fn: FunctionHandle,
+                  points: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
+        return [tuple(c) for c in self.compute(fn, points)]
+
     def __call__(self, fn: FunctionHandle, x: Sequence[float]) -> tuple[float, ...]:
-        return tuple(self.compute(fn, x))
+        return self.decompose(fn, [x])[0]
 
 
-def _first_coordinate(fn: FunctionHandle, x: Sequence[float]) -> tuple[float, ...]:
-    return (fn(x),) + (0.0,) * (fn.d - 1)
+def _contributions(method: Callable) -> Callable:
+    return lambda fn, points: [r.contributions for r in method(fn, points)]
 
 
-DELTA_STAR = Principle("delta-star", lambda f, x: decomp.delta_star(f, x).contributions)
-AS_SUBSET = Principle("as-subset", lambda f, x: decomp.as_subset(f, x).contributions,
+def _first_coordinate(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> list:
+    return [(fn(x),) + (0.0,) * (fn.d - 1) for x in points]
+
+
+DELTA_STAR = Principle("delta-star", _contributions(decomp.delta_star_many))
+AS_SUBSET = Principle("as-subset", _contributions(decomp.as_subset_many),
                       requires_zero_origin=True)
-SEQUENTIAL_FIXED = Principle("sequential", lambda f, x: decomp.sequential(f, x).contributions,
+SEQUENTIAL_FIXED = Principle("sequential", _contributions(decomp.sequential_many),
                              requires_zero_origin=True)
 FIRST_COORDINATE = Principle("first-coordinate", _first_coordinate)
 
@@ -168,13 +178,18 @@ def _ladder_verdict(axiom: str, ladder: list[Witness], tol: float,
 # A1-A9 checkers
 
 
+def _values(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> list[float]:
+    """F at each point, in one ``evaluate_table`` call (the full mask
+    projects a point onto itself)."""
+    return fn.evaluate_table(points, [full_mask(fn.d)])[:, 0].tolist()
+
+
 def check_A1_additivity(principle: Principle, fn: FunctionHandle,
                         points: Sequence[Point], tol: float = 1e-9) -> AxiomVerdict:
     """Contributions must sum back to the function value at every point."""
     deviations = []
-    for x in points:
-        total = fn(x)
-        gap = abs(total - math.fsum(principle(fn, x))) / (1.0 + abs(total))
+    for x, total, g in zip(points, _values(fn, points), principle.decompose(fn, points)):
+        gap = abs(total - math.fsum(g)) / (1.0 + abs(total))
         deviations.append((_describe(x), gap))
     return _verdict("A1", deviations, tol)
 
@@ -182,12 +197,11 @@ def check_A1_additivity(principle: Principle, fn: FunctionHandle,
 def check_A2_permutation(principle: Principle, fn: FunctionHandle, perm: Permutation,
                          points: Sequence[Point], tol: float = 1e-10) -> AxiomVerdict:
     """Relabeling the arguments must relabel the contributions and nothing else."""
-    relabeled = compose_permutation(fn, perm)
     inv = inverse_permutation(perm)
+    lhs_all = principle.decompose(compose_permutation(fn, perm), points)
+    rhs_all = principle.decompose(fn, [permute(x, perm) for x in points])
     deviations = []
-    for x in points:
-        lhs = principle(relabeled, x)
-        rhs = principle(fn, permute(x, perm))
+    for x, lhs, rhs in zip(points, lhs_all, rhs_all):
         gap = _gap(lhs, permute(rhs, inv)) / _scale(lhs, rhs)
         deviations.append((f"x={_describe(x)} perm={perm}", gap))
     return _verdict("A2", deviations, tol)
@@ -204,17 +218,18 @@ def check_A3_A6_dummy(principle: Principle, fn: FunctionHandle, dummy: int,
     """
     d = fn.d
     others = full_mask(d) ^ (1 << dummy)
-    influence = max(abs(fn(x) - fn(project(x, others))) for x in points) if points else 0.0
+    pairs = fn.evaluate_table(points, [full_mask(d), others]).tolist()
+    influence = max((abs(v - w) for v, w in pairs), default=0.0)
     if influence > tol:
         note = (f"coordinate {dummy + 1} influences the function "
                 f"(deviation {influence:.3g}); dummy check vacuous")
         return (AxiomVerdict("A3", PARTIAL, influence, tol, (), note),
                 AxiomVerdict("A6", PARTIAL, influence, tol, (), note))
     at_origin = principle(fn, (0.0,) * d)[dummy]
+    fulls = principle.decompose(fn, points)
+    projections = principle.decompose(fn, [project(x, others) for x in points])
     dev3, dev6 = [], []
-    for x in points:
-        full = principle(fn, x)
-        projected = principle(fn, project(x, others))
+    for x, full, projected in zip(points, fulls, projections):
         scale = _scale(full, projected)
         dev3.append((_describe(x), abs(full[dummy] - at_origin) / scale))
         dev6.append((_describe(x), _gap(full, projected) / scale))
@@ -228,13 +243,12 @@ def check_A4_A5_linearity(principle: Principle, fn: FunctionHandle, other: Funct
     the function must scale the contributions (A5, alpha = 0 included)."""
     combined = linear_combine([(1.0, fn), (1.0, other)])
     scaled = linear_combine([(alpha, fn)])
+    sides = zip(points, principle.decompose(fn, points), principle.decompose(other, points),
+                principle.decompose(combined, points), principle.decompose(scaled, points))
     dev4, dev5 = [], []
-    for x in points:
-        g, g_other = principle(fn, x), principle(other, x)
-        g_sum = principle(combined, x)
+    for x, g, g_other, g_sum, g_scaled in sides:
         summed = [a + b for a, b in zip(g, g_other)]
         dev4.append((_describe(x), _gap(g_sum, summed) / _scale(g, g_other, g_sum)))
-        g_scaled = principle(scaled, x)
         dev5.append((f"x={_describe(x)} alpha={alpha}",
                      _gap(g_scaled, [alpha * gi for gi in g]) / _scale(g, g_scaled)))
     return _verdict("A4", dev4, tol), _verdict("A5", dev5, tol)
@@ -251,11 +265,13 @@ def check_A7_continuity_of_delta(principle: Principle, fn: FunctionHandle,
     if len(coeffs) < 2 or any(abs(b) >= abs(a) for a, b in zip(coeffs, coeffs[1:])):
         return AxiomVerdict("A7", PARTIAL, math.nan, tol, (),
                             "perturbation sizes do not shrink; check skipped")
-    reference = {x: principle(fn, x) for x in points}
+    if not points:
+        return AxiomVerdict("A7", PARTIAL, math.nan, tol, (), "no points; check skipped")
+    reference = principle.decompose(fn, points)
     ladder: list[Witness] = []
     for c in coeffs:
-        perturbed = linear_combine([(1.0, fn), (c, direction)])
-        dev = max(_gap(principle(perturbed, x), reference[x]) for x in points)
+        perturbed = principle.decompose(linear_combine([(1.0, fn), (c, direction)]), points)
+        dev = max(_gap(g, g_ref) for g, g_ref in zip(perturbed, reference))
         ladder.append((f"coefficient {c:g}", dev))
     return _ladder_verdict("A7", ladder, tol,
                            "deviations do not decrease with the perturbation",
@@ -272,24 +288,27 @@ def check_A8_continuity_inheritance(principle: Principle, fn: FunctionHandle, x:
     if len(steps) < 2 or any(b >= a for a, b in zip(steps, steps[1:])):
         return AxiomVerdict("A8", PARTIAL, math.nan, tol, (),
                             "step sizes do not shrink; check skipped")
+    if n_directions < 1:
+        return AxiomVerdict("A8", PARTIAL, math.nan, tol, (), "no directions; check skipped")
     rng = seeded_rng(seed, 0xA8)
     raw = rng.standard_normal((n_directions, fn.d))
     directions = [tuple(row / np.linalg.norm(row)) for row in raw]
+    # the points at each step, n_directions of them per step
+    moved = [tuple(c + s * u for c, u in zip(x, direction))
+             for s in steps for direction in directions]
     base_value = fn(x)
-    fn_devs = []
-    for s in steps:
-        fn_devs.append(max(abs(fn(tuple(c + s * u for c, u in zip(x, d))) - base_value)
-                           for d in directions))
+    values = _values(fn, moved)
+    fn_devs = [max(abs(v - base_value) for v in values[k:k + n_directions])
+               for k in range(0, len(moved), n_directions)]
     if fn_devs[-1] > 0.5 * fn_devs[0] and fn_devs[0] > tol:
         return AxiomVerdict("A8", PARTIAL, fn_devs[-1], tol, (),
                             "function values do not converge at x; "
                             "precondition unmet, check skipped")
-    base = principle(fn, x)
+    base, *contributions = principle.decompose(fn, [x] + moved)
     ladder: list[Witness] = []
-    for s in steps:
-        dev = max(_gap(principle(fn, tuple(c + s * u for c, u in zip(x, d))), base)
-                  for d in directions)
-        ladder.append((f"step {s:g}", dev))
+    for k, s in enumerate(steps):
+        at_step = contributions[k * n_directions:(k + 1) * n_directions]
+        ladder.append((f"step {s:g}", max(_gap(g, base) for g in at_step)))
     return _ladder_verdict("A8", ladder, tol, "contribution deviations do not decrease",
                            "contributions converge with the input (limit not certifiable)")
 
@@ -299,12 +318,10 @@ def check_A9_reparameterization(principle: Principle, fn: FunctionHandle,
                                 tol: float = 1e-9) -> AxiomVerdict:
     """Losslessly re-encoding each argument (bijections of the line fixing
     zero) must re-encode the contribution functions the same way."""
-    reparameterized = compose_coordinate_maps(fn, maps)
-    deviations = []
-    for x in points:
-        lhs = principle(reparameterized, x)
-        rhs = principle(fn, tuple(h(c) for h, c in zip(maps, x)))
-        deviations.append((f"x={_describe(x)}", _gap(lhs, rhs) / _scale(lhs, rhs)))
+    lhs_all = principle.decompose(compose_coordinate_maps(fn, maps), points)
+    rhs_all = principle.decompose(fn, [tuple(h(c) for h, c in zip(maps, x)) for x in points])
+    deviations = [(f"x={_describe(x)}", _gap(lhs, rhs) / _scale(lhs, rhs))
+                  for x, lhs, rhs in zip(points, lhs_all, rhs_all)]
     return _verdict("A9", deviations, tol)
 
 

@@ -258,20 +258,12 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
                     args: argparse.Namespace) -> tuple[dict, list[dict]]:
     d = fn.d
     meta: dict = {"method": method, "d": d, "function": getattr(fn, "label", "?")}
-    rows = []
-    for x in points:
-        if method == "sequential":
-            perm = permutation_from_ranks(_parse_ranks(args.perm)) if args.perm else None
-            res = decomp.sequential(fn, x, perm)
-        elif method == "as":
-            res = decomp.as_subset(fn, x)
-        elif method == "pointwise":
-            res = decomp.pointwise_shapley(fn, x)
-        elif method == "delta-star":
-            res = decomp.delta_star(fn, x)
-        elif method in ("mc", "mc-delta-star"):
-            estimator = (montecarlo.estimate_as if method == "mc"
-                         else montecarlo.estimate_delta_star)
+    if method in ("mc", "mc-delta-star"):
+        estimator = (montecarlo.estimate_as if method == "mc"
+                     else montecarlo.estimate_delta_star)
+        name = "monte_carlo" if method == "mc" else "monte_carlo_delta_star"
+        rows = []
+        for x in points:
             report = estimator(fn, x, args.samples, args.seed, workers=args.workers)
             total = fn(x)
             rows.append({
@@ -281,14 +273,21 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
                 "total": total,
                 "residual": abs(total - report.total),
             })
-            name = "monte_carlo" if method == "mc" else "monte_carlo_delta_star"
             meta.update({"method": f"{name}(seed={report.seed}, n={report.n_samples})"})
-            continue
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        meta["method"] = res.method
-        rows.append(_result_row(res))
-    return meta, rows
+        return meta, rows
+    if method == "sequential":
+        perm = permutation_from_ranks(_parse_ranks(args.perm)) if args.perm else None
+        results = decomp.sequential_many(fn, points, perm)
+    elif method == "as":
+        results = decomp.as_subset_many(fn, points)
+    elif method == "pointwise":
+        results = decomp.pointwise_shapley_many(fn, points)
+    elif method == "delta-star":
+        results = decomp.delta_star_many(fn, points)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    meta["method"] = results[-1].method
+    return meta, [_result_row(res) for res in results]
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

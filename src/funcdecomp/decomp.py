@@ -3,10 +3,12 @@ average over all orders, the equivalent subset-weighted form, the extension
 to functions that do not vanish at the origin, and the per-point Shapley
 construction.
 
-All methods evaluate the target function only on the projected family
-{p_I(x)}, through one ``evaluate_masks`` call per point: the d+1 masks of
-one activation order, or the full table of 2^d masks combined by one
-weighted-marginals kernel.
+Every method decomposes a list of points (``delta_star_many`` and the
+like); the one-point functions are its one-point case.  F is evaluated
+only on the projected family {p_I(x)}: F(0) once where the method checks
+it, then one ``evaluate_table`` call per group of points over the masks
+of one activation order or all 2^d masks, each group's table combined by
+one weighted-marginals kernel call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,30 +58,80 @@ class DecompositionResult:
         return abs(self.total - math.fsum(self.contributions))
 
 
-def _validated(fn: FunctionHandle, x: Sequence[float], cap: int | None) -> Point:
-    point = as_point(x, fn.d)
+def _checked(fn: FunctionHandle, points: Iterable[Sequence[float]],
+             cap: int | None) -> list:
+    """The points as a list, once the first point and then the dimension
+    cap are validated: the order a one-point call raises in.  Later points
+    are validated as ``evaluate_table`` reaches them."""
+    points = list(points)
+    if points:
+        as_point(points[0], fn.d)
     validate_dimension(fn.d, cap)
-    return point
+    return points
 
 
-def _table(fn: FunctionHandle, point: Point) -> np.ndarray:
-    """F on all 2^d projections of the point, indexed by mask."""
-    return fn.evaluate_masks(point, np.arange(1 << fn.d))
+def _origin_value(fn: FunctionHandle, points: list) -> float:
+    """F(0), which is the same for every point; 0.0 when there are none."""
+    return float(fn.evaluate_masks(points[0], [0])[0]) if points else 0.0
 
 
-def _origin_value(fn: FunctionHandle, point: Point) -> float:
-    return float(fn.evaluate_masks(point, [0])[0])
-
-
-def _require_zero_origin(fn: FunctionHandle, point: Point, method: str) -> float:
+def _require_zero_origin(fn: FunctionHandle, points: list, method: str) -> float:
     """F(0), checked before any other projection is evaluated."""
-    v0 = _origin_value(fn, point)
+    v0 = _origin_value(fn, points)
     if abs(v0) > ORIGIN_TOLERANCE:
         raise NonzeroOriginError(
             f"{method} needs F to vanish at the origin, got {v0!r}; "
             "use delta_star, which splits the origin value evenly"
         )
     return v0
+
+
+def _decompose(fn: FunctionHandle, points: list, combine: Callable[[np.ndarray], np.ndarray],
+               method: str, masks: Sequence[int] | None = None) -> list[DecompositionResult]:
+    """One result per point: the contributions ``combine`` makes of the
+    point's row of the table of F at ``project(x, m)`` over ``masks``
+    (all 2^d masks if None), and the row's last value as the total.
+
+    The table is evaluated through ``evaluate_table`` in groups of points
+    whose table holds at most ``2^EXACT_SUBSET_CAP`` values, so memory
+    stays bounded whatever the number of points, and the first failing
+    point and mask raises first.  ``combine`` maps a group's table to one
+    row of contributions per point.
+    """
+    n_masks = 1 << fn.d if masks is None else len(masks)
+    group = max(1, (1 << EXACT_SUBSET_CAP) // n_masks)
+    out: list[DecompositionResult] = []
+    for start in range(0, len(points), group):
+        chunk = points[start:start + group]
+        # the array of all masks is built per group, so it is freed before
+        # the kernel runs
+        table = fn.evaluate_table(chunk, np.arange(n_masks) if masks is None else masks)
+        out += [DecompositionResult(as_point(x, fn.d), tuple(c), total, method)
+                for x, c, total in zip(chunk, combine(table).tolist(), table[:, -1].tolist())]
+        del table  # before the next group's table is built
+    return out
+
+
+def sequential_many(fn: FunctionHandle, points: Iterable[Sequence[float]],
+                    perm: Permutation | None = None) -> list[DecompositionResult]:
+    """`sequential` at each of the points: F(0) once, then d evaluations
+    per point."""
+    d = fn.d
+    if perm is None:
+        perm = identity_permutation(d)
+    if len(perm) != d:
+        raise DimensionMismatchError(f"permutation length {len(perm)} != d {d}")
+    points = _checked(fn, points, cap=None)  # d evaluations per point: no cap needed
+    v0 = _require_zero_origin(fn, points, "sequential")
+    order = list(inverse_permutation(perm))  # coordinate activated at each step
+    chain = list(itertools.accumulate((1 << coord for coord in order), operator.or_))
+
+    def steps(table: np.ndarray) -> np.ndarray:
+        contributions = np.empty_like(table)
+        contributions[:, order] = np.diff(table, axis=1, prepend=v0)
+        return contributions
+
+    return _decompose(fn, points, steps, f"sequential{ranks_from_permutation(perm)}", chain)
 
 
 def sequential(fn: FunctionHandle, x: Sequence[float],
@@ -91,36 +143,34 @@ def sequential(fn: FunctionHandle, x: Sequence[float],
     value one at a time in rank order, and each coordinate is credited
     with the change it causes.  Exactly d+1 function evaluations.
     """
-    d = fn.d
-    if perm is None:
-        perm = identity_permutation(d)
-    if len(perm) != d:
-        raise DimensionMismatchError(f"permutation length {len(perm)} != d {d}")
-    point = _validated(fn, x, cap=None)  # d+1 evaluations, no cap needed
-    prev = _require_zero_origin(fn, point, "sequential")
-    order = inverse_permutation(perm)  # coordinate activated at each step
-    chain = list(itertools.accumulate((1 << coord for coord in order), operator.or_))
-    values = fn.evaluate_masks(point, chain).tolist()
-    contributions = [0.0] * d
-    for coord, cur in zip(order, values):
-        contributions[coord] = cur - prev
-        prev = cur
-    return DecompositionResult(
-        point, tuple(contributions), values[-1],
-        method=f"sequential{ranks_from_permutation(perm)}",
-    )
+    return sequential_many(fn, [x], perm)[0]
+
+
+def as_permutation_many(fn: FunctionHandle,
+                        points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`as_permutation` at each of the points."""
+    points = _checked(fn, points, EXACT_PERMUTATION_CAP)
+    _require_zero_origin(fn, points, "as_permutation")
+
+    def enumerate_orders(table: np.ndarray) -> np.ndarray:
+        return np.array([permutation_average_marginals(row, fn.d) for row in table])
+
+    return _decompose(fn, points, enumerate_orders, "as_permutation")
 
 
 def as_permutation(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Averaged sequential contributions: the exact mean of `sequential`
     over all d! activation orders, via full enumeration."""
-    point = _validated(fn, x, EXACT_PERMUTATION_CAP)
-    _require_zero_origin(fn, point, "as_permutation")
-    table = _table(fn, point)
-    marginals = permutation_average_marginals(table, fn.d)
-    return DecompositionResult(
-        point, tuple(marginals.tolist()), float(table[-1]), method="as_permutation",
-    )
+    return as_permutation_many(fn, [x])[0]
+
+
+def as_subset_many(fn: FunctionHandle,
+                   points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`as_subset` at each of the points, one kernel call per group."""
+    points = _checked(fn, points, EXACT_SUBSET_CAP)
+    _require_zero_origin(fn, points, "as_subset")
+    return _decompose(fn, points, lambda table: game_mod.weighted_marginals(table, fn.d),
+                      "as_subset")
 
 
 def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -128,13 +178,18 @@ def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     coordinate sums its weighted switch-on differences F(p_I x) - F(p_{I-i} x)
     over the subsets containing it.  Equal to `as_permutation` without
     enumerating orderings (2^d instead of d! terms)."""
-    point = _validated(fn, x, EXACT_SUBSET_CAP)
-    _require_zero_origin(fn, point, "as_subset")
-    table = _table(fn, point)
-    contributions = game_mod.weighted_marginals(table, fn.d)
-    return DecompositionResult(
-        point, tuple(contributions.tolist()), float(table[-1]), method="as_subset",
-    )
+    return as_subset_many(fn, [x])[0]
+
+
+def delta_star_many(fn: FunctionHandle,
+                    points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`delta_star` at each of the points, one kernel call per group."""
+    points = _checked(fn, points, EXACT_SUBSET_CAP)
+
+    def split(table: np.ndarray) -> np.ndarray:
+        return table[:, :1] / fn.d + game_mod.weighted_marginals(table, fn.d)
+
+    return _decompose(fn, points, split, "delta_star")
 
 
 def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -142,21 +197,26 @@ def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     origin value is split evenly across the d coordinates and the rest is
     attributed like `as_subset`.  Restricted to functions vanishing at the
     origin this coincides with the averaged sequential decomposition."""
-    point = _validated(fn, x, EXACT_SUBSET_CAP)
-    table = _table(fn, point)
-    contributions = table[0] / fn.d + game_mod.weighted_marginals(table, fn.d)
-    return DecompositionResult(
-        point, tuple(contributions.tolist()), float(table[-1]), method="delta_star",
-    )
+    return delta_star_many(fn, [x])[0]
+
+
+def pointwise_shapley_many(fn: FunctionHandle,
+                           points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`pointwise_shapley` at each of the points, one kernel call per group."""
+    points = _checked(fn, points, EXACT_SUBSET_CAP)
+    game_mod.check_empty_coalition(_origin_value(fn, points))
+
+    def allocate(table: np.ndarray) -> np.ndarray:
+        # each row as the game induced at its point: the checked origin
+        # value counts as exactly 0, as in game.game_from_table
+        table[:, 0] = 0.0
+        return game_mod.weighted_marginals(table, fn.d)
+
+    return _decompose(fn, points, allocate, "pointwise_shapley")
 
 
 def pointwise_shapley(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Per-point game construction: restrict F to the binary activation
     pattern of x (coalition S -> F(p_S x)), read that as a game, and
     allocate with the classical Shapley value."""
-    point = _validated(fn, x, EXACT_SUBSET_CAP)
-    induced = game_mod.induced_game(fn, point)
-    allocation = game_mod.shapley(induced)
-    return DecompositionResult(
-        point, allocation.shares, induced.grand_value, method="pointwise_shapley",
-    )
+    return pointwise_shapley_many(fn, [x])[0]

@@ -8,9 +8,10 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 * ``0^0 = 1`` (an exponent of zero makes a factor neutral);
 * ``sign(0) = 0``.
 
-Every handle evaluates a function on many projected points of one anchor
-through ``evaluate_masks``, which runs the handle's block path over blocks
-of points and re-runs any point a block rejects through the scalar path.
+Every handle evaluates a function on the projected points of many anchors
+through ``evaluate_table`` (``evaluate_masks`` is its one-anchor case),
+which runs the handle's block path over blocks of points and re-runs any
+point a block rejects through the scalar path.
 Expressions, and compositions of expressions, evaluate a block with numpy;
 Python callables and lookup tables go one point at a time.  An expression
 is flattened once into a post-order program over one operation table, and
@@ -42,7 +43,7 @@ from .core import (
     validate_permutation,
 )
 
-# Projected points per block in FunctionHandle.evaluate_masks: the working
+# Projected points per block in FunctionHandle.evaluate_table: the working
 # set of an expression is a few arrays of this length per tree node,
 # whatever the number of masks.
 MASK_BLOCK = 4096
@@ -458,7 +459,7 @@ class FunctionHandle:
     """Evaluatable representation of a function of ``d`` real arguments.
 
     A handle has a scalar path, ``_evaluate`` at one point, and a block
-    path, ``_evaluate_block``; ``evaluate_masks`` drives the block path and
+    path, ``_evaluate_block``; ``evaluate_table`` drives the block path and
     falls back to the scalar one.  Handles are immutable after construction
     and evaluation is pure, so they may be shared and called concurrently.
     """
@@ -476,54 +477,82 @@ class FunctionHandle:
     def _evaluate(self, x: Point) -> float:
         raise NotImplementedError
 
-    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
-        """Values at one point per mask, whose coordinate j is ``on[j]``
-        where bit j of the mask is set and ``off[j]`` elsewhere.
+    def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
+        """Values at the points of a block, anchor by anchor and, for each
+        anchor, mask by mask: ``len(anchors) * len(masks)`` values, where
+        the point of anchor ``a`` (a row of ``anchors``) and mask ``m`` has
+        coordinate j equal to ``a[j]`` where bit j of ``m`` is set and
+        ``off[j]`` elsewhere.
 
         A value the block leaves finite equals the scalar path's bit for
         bit; a point the scalar path may reject is left NaN or makes the
         block raise.  This implementation calls the scalar path once per
         point and stops at the first point that raises, leaving it and the
         rest NaN, so no point is called after the one whose error the
-        re-run in ``evaluate_masks`` raises.
+        re-run in ``evaluate_table`` raises.
         """
-        coords = tuple(zip(on, off))
-        values = np.full(len(masks), math.nan)
-        for k, m in enumerate(masks.tolist()):
+        values = np.full(len(anchors) * len(masks), math.nan)
+        points = ((a, m) for a in anchors.tolist() for m in masks.tolist())
+        for r, (on, m) in enumerate(points):
             try:
-                values[k] = self(tuple(a if m >> j & 1 else b for j, (a, b) in enumerate(coords)))
+                values[r] = self(tuple(a if m >> j & 1 else b
+                                       for j, (a, b) in enumerate(zip(on, off))))
             except Exception:  # of any kind: the scalar re-run raises it again
                 break
         return values
 
+    def evaluate_table(self, points: Iterable[Sequence[float]],
+                       masks: Iterable[int]) -> np.ndarray:
+        """Values at the projected points ``project(x, m)``: one row per
+        point and one column per mask, in the orders given.
+
+        The (point, mask) pairs are evaluated point by point, in blocks of
+        at most ``MASK_BLOCK`` pairs: whole rows of several points, or a
+        run of one point's masks.  Every value equals the scalar path's bit
+        for bit.  Points a block leaves non-finite, and every point of a
+        block that raises, are re-evaluated one by one through the scalar
+        path in that order, so the first failing (point, mask) and its
+        error are the scalar path's too.  A point that is not a valid
+        point of the function raises only after every point before it was
+        evaluated.  A value does not depend on the block it lands in.
+        """
+        anchors: list[Point] = []
+        invalid = None
+        for x in points:
+            try:
+                anchors.append(as_point(x, self.d))
+            except (TypeError, ValueError) as exc:
+                invalid = exc
+                break
+        if invalid is not None and not anchors:
+            raise invalid
+        masks = validate_masks(masks, self.d)
+        table = np.empty((len(anchors), len(masks)))
+        coords = np.array(anchors, dtype=float).reshape(len(anchors), self.d)
+        origin = (0.0,) * self.d
+        width = max(1, min(len(masks), MASK_BLOCK))  # masks per block
+        rows = MASK_BLOCK // width  # points per block
+        with np.errstate(all="ignore"):
+            for a0 in range(0, len(anchors), rows):
+                for m0 in range(0, len(masks), width):
+                    block = masks[m0:m0 + width]
+                    values = table[a0:a0 + rows, m0:m0 + width]
+                    try:
+                        values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
+                                                         block).reshape(values.shape)
+                        rerun = np.argwhere(~np.isfinite(values)).tolist()
+                    except Exception:  # of any kind: the scalar path re-raises the first one
+                        rerun = np.ndindex(values.shape)
+                    for a, m in rerun:
+                        values[a, m] = self(project(anchors[a0 + a], int(block[m])))
+        if invalid is not None:
+            raise invalid
+        return table
+
     def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
         """Values at the projected points ``project(x, m)``, one per mask,
-        in the order given, computed over blocks of at most ``MASK_BLOCK``
-        masks.
-
-        Every value equals the scalar path's bit for bit.  Points a block
-        leaves non-finite, and every point of a block that raises, are
-        re-evaluated one by one through the scalar path, in the order
-        given, so the first failing mask and its error are the scalar
-        path's too.  A mask's value does not depend on the block it lands
-        in.
-        """
-        point = as_point(x, self.d)
-        masks = validate_masks(masks, self.d)
-        origin = (0.0,) * self.d
-        out = np.empty(len(masks))
-        with np.errstate(all="ignore"):
-            for start in range(0, len(masks), MASK_BLOCK):
-                block = masks[start:start + MASK_BLOCK]
-                values = out[start:start + len(block)]
-                try:
-                    values[:] = self._evaluate_block(point, origin, block)
-                    rerun = np.flatnonzero(~np.isfinite(values)).tolist()
-                except Exception:  # of any kind: the scalar path re-raises the first one
-                    rerun = range(len(block))
-                for k in rerun:
-                    values[k] = self(project(point, int(block[k])))
-        return out
+        in the order given: the one-point case of ``evaluate_table``."""
+        return self.evaluate_table([x], masks)[0]
 
 
 class ExpressionFunction(FunctionHandle):
@@ -540,14 +569,14 @@ class ExpressionFunction(FunctionHandle):
     def _evaluate(self, x: Point) -> float:
         return float(_run(self._program, x))
 
-    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+    def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         """The program run with numpy over the block's coordinate columns;
         points whose scalar evaluation raises or passes through a
         non-finite value are left NaN."""
         cols: list = [None] * self.d
         for j in self._variables:
-            cols[j] = np.where(masks >> j & 1, on[j], off[j])
-        ok = np.ones(len(masks), dtype=bool)
+            cols[j] = np.where(masks >> j & 1, anchors[:, j, None], off[j]).reshape(-1)
+        ok = np.ones(len(anchors) * len(masks), dtype=bool)
         values = _run_block(self._program, cols, ok)
         if isinstance(values, np.ndarray) and ok.all():
             return values
@@ -614,10 +643,10 @@ class _Relabeled(FunctionHandle):
     def _evaluate(self, x: Point) -> float:
         return self.fn(permute(x, self.perm))
 
-    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
+    def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         # coordinate i of the relabeled point is coordinate perm[i], so it is
-        # on where bit perm[i] of the mask is set
-        return self.fn._evaluate_block(permute(on, self.perm), permute(off, self.perm),
+        # the anchor's where bit perm[i] of the mask is set
+        return self.fn._evaluate_block(anchors[:, self.perm], permute(off, self.perm),
                                        permute_mask(masks, self.inverse))
 
 
@@ -632,11 +661,12 @@ class _Reparameterized(FunctionHandle):
     def _evaluate(self, x: Point) -> float:
         return self.fn(self._mapped(x))
 
-    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
-        # off becomes h(off), not 0.0: a map may send 0.0 to -0.0; as_point
-        # rejects a non-finite image as the scalar path does
-        return self.fn._evaluate_block(as_point(self._mapped(on)), as_point(self._mapped(off)),
-                                       masks)
+    def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
+        # each anchor is mapped once, not once per mask; off becomes h(off),
+        # not 0.0: a map may send 0.0 to -0.0; as_point rejects a non-finite
+        # image as the scalar path does
+        mapped = np.array([as_point(self._mapped(a)) for a in anchors.tolist()])
+        return self.fn._evaluate_block(mapped, as_point(self._mapped(off)), masks)
 
 
 class _LinearCombination(FunctionHandle):
@@ -647,8 +677,8 @@ class _LinearCombination(FunctionHandle):
     def _evaluate(self, x: Point) -> float:
         return math.fsum(a * fn(x) for a, fn in self.terms)
 
-    def _evaluate_block(self, on: Point, off: Point, masks: np.ndarray) -> np.ndarray:
-        blocks = [a * fn._evaluate_block(on, off, masks) for a, fn in self.terms]
+    def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
+        blocks = [a * fn._evaluate_block(anchors, off, masks) for a, fn in self.terms]
         return np.array([math.fsum(row) for row in np.column_stack(blocks).tolist()], dtype=float)
 
 

@@ -110,27 +110,37 @@ def weighted_marginals(values: Sequence[float], d: int,
     """Per coordinate ``i``, the sum over coalitions ``S`` containing ``i``
     of ``weight(d, |S|) * (values[S] - values[S \\ {i}])``.
 
-    ``values`` is a dense table indexed by subset bitmask.  With the default
-    weight this is the Shapley value of the table read as a game.  Each
-    difference is taken before it is weighted, so a coordinate that never
-    changes the value gets exactly 0.
+    ``values`` is a dense table indexed by subset bitmask along its last
+    axis, with any number of rows before it: a table of shape
+    ``(n, 2^d)`` gives ``(n, d)``, and one of shape ``(2^d,)`` gives
+    ``(d,)``.  Row k of the result depends on row k of the table alone and
+    equals the result for that row by itself bit for bit.  With the
+    default weight this is the Shapley value of each row read as a game.
+    Each difference is taken before it is weighted, so a coordinate that
+    never changes the value gets exactly 0.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (1 << d,):
+    if vals.shape[-1:] != (1 << d,):
         raise DimensionMismatchError(f"need a table of {1 << d} values, got {vals.shape}")
+    rows = vals.reshape(-1, 1 << d)
+    n = len(rows)
     # Coalition sizes are recomputed per call: a cached 2^d array outlives
     # the call and keeps the allocator from returning freed memory.
     sizes = np.zeros(1 << d, dtype=np.uint8)
     for i in range(d):
         sizes.reshape(-1, 2, 1 << i)[:, 1] += 1
     w = _size_weights(d, weight)[sizes]
-    out = np.empty(d)
+    out = np.empty((n, d))
+    diff = np.empty((n, 1 << (d - 1)))  # one buffer for every coordinate
     for i in range(d):
-        pairs = vals.reshape(-1, 2, 1 << i)
-        diff = pairs[:, 1] - pairs[:, 0]
-        diff *= w.reshape(-1, 2, 1 << i)[:, 1]
-        out[i] = diff.sum()
-    return out
+        pairs = rows.reshape(n, 1 << (d - 1 - i), 2, 1 << i)
+        terms = diff.reshape(n, 1 << (d - 1 - i), 1 << i)
+        np.subtract(pairs[:, :, 1], pairs[:, :, 0], out=terms)
+        terms *= w.reshape(-1, 2, 1 << i)[:, 1]
+        # each row is summed along its own contiguous axis, in the order a
+        # one-row table is summed
+        out[:, i] = diff.sum(axis=1)
+    return out.reshape(vals.shape[:-1] + (d,))
 
 
 def shapley(game: Game) -> Allocation:

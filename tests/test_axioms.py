@@ -68,7 +68,7 @@ def test_a1_constant_split():
 
 
 def test_a1_broken_principle_fails_with_witness():
-    broken = Principle("broken", lambda f, x: DELTA_STAR(f, x)[:-1] + (0.0,))
+    broken = Principle("broken", lambda f, xs: [g[:-1] + (0.0,) for g in DELTA_STAR.decompose(f, xs)])
     verdict = check_A1_additivity(broken, ExpressionFunction("x1 + x2", 2), pts(2, 20))
     assert verdict.status == FAIL
     assert verdict.witnesses
@@ -161,7 +161,7 @@ def test_a4_a5_deviation_is_relative_to_every_compared_vector():
     # squaring breaks linearity; at x = (1, 2), F = 2: g = g_other = (4, 0),
     # g_sum = g_scaled (alpha = 2) = (16, 0), so both gaps are 8 and both
     # scales 1 + 16, though the first vector alone would give 1 + 4
-    square = Principle("square", lambda f, x: (f(x) ** 2, 0.0))
+    square = Principle("square", lambda f, xs: [(f(x) ** 2, 0.0) for x in xs])
     v4, v5 = check_A4_A5_linearity(square, PRODUCT, PRODUCT, 2.0, [(1.0, 2.0)])
     assert (v4.status, v5.status) == (FAIL, FAIL)
     assert v4.max_deviation == v5.max_deviation == 8.0 / 17.0
@@ -202,10 +202,16 @@ def test_a7_single_coefficient_guard():
     assert verdict.status == PARTIAL and "skipped" in verdict.note
 
 
+def test_a7_without_points_is_skipped():
+    direction = ExpressionFunction("x1", 2)
+    verdict = check_A7_continuity_of_delta(DELTA_STAR, PRODUCT, direction, [1.0, 0.1], [])
+    assert verdict.status == PARTIAL and verdict.note == "no points; check skipped"
+
+
 def test_a7_fails_when_deviations_grow_as_the_coefficient_shrinks():
     # broken on purpose: reports 1 / |change of F| as the first contribution
-    def compute(fn, x):
-        return (0.0 if fn is PRODUCT else 1.0 / abs(fn(x) - PRODUCT(x)), 0.0)
+    def compute(fn, points):
+        return [(0.0 if fn is PRODUCT else 1.0 / abs(fn(x) - PRODUCT(x)), 0.0) for x in points]
 
     direction = ExpressionFunction("x1", 2)
     verdict = check_A7_continuity_of_delta(
@@ -221,8 +227,9 @@ def test_a7_fails_when_deviations_grow_as_the_coefficient_shrinks():
 
 def test_a8_fails_when_deviations_grow_as_the_step_shrinks():
     # broken on purpose: reports 1 / distance from (1, 1) as the first contribution
-    def compute(fn, x):
-        return (0.0 if tuple(x) == (1.0, 1.0) else 1.0 / math.dist(x, (1.0, 1.0)), 0.0)
+    def compute(fn, points):
+        return [(0.0 if tuple(x) == (1.0, 1.0) else 1.0 / math.dist(x, (1.0, 1.0)), 0.0)
+                for x in points]
 
     verdict = check_A8_continuity_inheritance(
         Principle("blows-up", compute), PRODUCT, (1.0, 1.0), [1e-1, 1e-2, 1e-3], seed=3)
@@ -250,6 +257,12 @@ def test_a8_step_function_at_jump_is_skipped():
         DELTA_STAR, fn, (0.5, 0.25), [1e-1, 1e-2, 1e-3, 1e-4], seed=5)
     assert verdict.status == PARTIAL
     assert "skipped" in verdict.note
+
+
+def test_a8_without_directions_is_skipped():
+    verdict = check_A8_continuity_inheritance(
+        DELTA_STAR, PRODUCT, (1.0, 1.0), [1e-1, 1e-2], n_directions=0)
+    assert verdict.status == PARTIAL and verdict.note == "no directions; check skipped"
 
 
 def test_a8_constant_function_zero_deviation():

@@ -87,6 +87,22 @@ def test_decompose_points_csv(capsys, tmp_path):
     assert payload["rows"][1]["contributions"] == [3.0, 3.0]
 
 
+@pytest.mark.parametrize("method", ["delta-star", "as", "sequential", "pointwise", "mc"])
+def test_points_csv_reports_the_first_error_in_point_order(capsys, tmp_path, method):
+    path = tmp_path / "points.csv"
+    path.write_text("x1,x2\n1,2\n-2,1\nnan,1\n")
+    code, out, err = run(capsys, "decompose", "-d", "2", "-f", "ln(x1+1)*x2",
+                         "--points-csv", str(path), "--method", method, "--samples", "20")
+    assert (code, out, err) == (2, "", "error: ln of non-positive value -1.0\n")
+    # F(0) = 1: the origin check comes before the second point's domain error
+    code, out, err = run(capsys, "decompose", "-d", "2", "-f", "1+ln(x1+1)*x2",
+                         "--points-csv", str(path), "--method", method, "--samples", "20")
+    if method != "delta-star":
+        assert code == 4 and out == "" and err.endswith("hint: use --method delta-star\n")
+    else:
+        assert (code, out, err) == (2, "", "error: ln of non-positive value -1.0\n")
+
+
 def test_values_starting_with_a_minus_in_equals_form(capsys):
     code, payload, _ = run_json(
         capsys, "decompose", "-d", "2", "--function=-x1^2", "--point=-1.5,2",

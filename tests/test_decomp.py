@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,18 @@ import pytest
 from funcdecomp import decomp
 from funcdecomp.core import (
     DimensionMismatchError,
+    NonFiniteCoordinateError,
     NonzeroOriginError,
     inverse_permutation,
     permutation_from_ranks,
     permute,
 )
-from funcdecomp.expr import ExpressionFunction, NativeFunction, compose_permutation
+from funcdecomp.expr import (
+    EvaluationError,
+    ExpressionFunction,
+    NativeFunction,
+    compose_permutation,
+)
 from funcdecomp.game import game_from_binary_function, shapley
 from funcdecomp.axioms import max_monomial, random_polynomial
 
@@ -336,6 +343,72 @@ def test_monomial_rule_binary_exponents_weighted_form():
         res = decomp.as_subset(fn, x)
         assert all_close(res.contributions, [qi / norm * total for qi in q],
                          rel=1e-10, abs_=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# many points per call
+
+
+MANY = [
+    (decomp.sequential_many, decomp.sequential),
+    (decomp.as_permutation_many, decomp.as_permutation),
+    (decomp.as_subset_many, decomp.as_subset),
+    (decomp.delta_star_many, decomp.delta_star),
+    (decomp.pointwise_shapley_many, decomp.pointwise_shapley),
+]
+
+
+def test_many_points_give_the_one_point_results():
+    fn = ExpressionFunction("x1*x2*x3 - x2^2 + exp(x3/3) - 1", 3)
+    points = rand_points(3, 600, seed=29)  # two blocks of evaluate_table
+    for many, one in MANY:
+        assert many(fn, points) == [one(fn, x) for x in points]
+        assert many(fn, []) == []
+    perm = permutation_from_ranks((3, 1, 2))
+    assert decomp.sequential_many(fn, points, perm) == [decomp.sequential(fn, x, perm)
+                                                        for x in points]
+
+
+def test_sequential_many_evaluates_the_origin_once():
+    fn, calls = counting(ExpressionFunction("x1*x2*x3 + x2", 3))
+    decomp.sequential_many(fn, rand_points(3, 5, seed=1))
+    assert len(calls) == 1 + 5 * 3
+
+
+def test_many_points_raise_the_first_error_in_point_order():
+    domain = ExpressionFunction("ln(x1 + 1) * x2", 2)
+    with pytest.raises(EvaluationError, match=r"ln of non-positive value -1\.0"):
+        decomp.delta_star_many(domain, [(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)])
+    with pytest.raises(NonFiniteCoordinateError):
+        decomp.delta_star_many(domain, [(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)])
+    # a bad first point is reported before the dimension cap, as for one point
+    huge = NativeFunction(lambda x: sum(x), 21, label="sum21")
+    with pytest.raises(NonFiniteCoordinateError):
+        decomp.delta_star_many(huge, [(math.nan,) + (0.0,) * 20])
+    # F(0) = 1 is checked before the second point's domain error
+    shifted = ExpressionFunction("1 + ln(x1 + 1) * x2", 2)
+    for many, _ in MANY:
+        if many is not decomp.delta_star_many:
+            with pytest.raises(NonzeroOriginError):
+                many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
+    with pytest.raises(EvaluationError):
+        decomp.delta_star_many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
+
+
+def test_many_points_hold_at_most_two_groups_of_the_table():
+    # at d = 16 a group is 16 points: a table of 2^20 values, 8 MiB
+    d = 16
+    fn = ExpressionFunction("x1 * x16 + x2", d)
+    points = rand_points(d, 64, seed=31)
+    tracemalloc.start()
+    try:
+        results = decomp.delta_star_many(fn, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (1 << decomp.EXACT_SUBSET_CAP)  # all 64 rows would be 32 MiB
+    for k in (0, 15, 16, 63):
+        assert results[k] == decomp.delta_star(fn, points[k])
 
 
 def test_dimension_caps_enforced():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import core, decomp, expr
+from funcdecomp.axioms import DELTA_STAR, check_A2_permutation, sample_points
 from funcdecomp.core import DimensionMismatchError, permutation_from_ranks
 
 from oracles import close
@@ -405,17 +406,38 @@ _expressions = _batch_trees.map(lambda tree: expr.ExpressionFunction(expr.format
 _composed = _compositions(st.one_of(_expressions, _compositions(_expressions)))
 
 
-@given(_composed, st.tuples(_coordinates, _coordinates, _coordinates),
+def _table_raises(fn, anchors, masks):
+    try:
+        fn.evaluate_table(anchors, masks)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@given(_composed, st.lists(st.tuples(_coordinates, _coordinates, _coordinates),
+                           min_size=1, max_size=3),
        st.permutations(range(8)))
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_compositions_evaluate_masks_like_their_scalar_path(fn, x, masks):
+def test_compositions_evaluate_masks_like_their_scalar_path(fn, anchors, masks):
     for order in (masks, masks[::-1]):  # the zero point first and last
-        values, error = _scalar_table(fn, x, order)
+        values, error = [], None
+        for x in anchors:  # point by point, mask by mask
+            row, error = _scalar_table(fn, x, order)
+            values += row
+            if error is not None:
+                break
         if error is not None:
-            assert _raises(fn, x, order) == error
-            assert _raises(fn, x, order[:len(values)]) is None
+            k, m = divmod(len(values), len(order))  # the first failing point and mask
+            assert _table_raises(fn, anchors, order) == error
+            assert _table_raises(fn, anchors[:k], order) is None
+            assert _table_raises(fn, anchors[:k + 1], order[:m]) is None
+            if k == 0:
+                assert _raises(fn, anchors[0], order) == error
         else:
-            assert fn.evaluate_masks(x, order).tobytes() == np.array(values).tobytes()
+            table = fn.evaluate_table(anchors, order)
+            assert table.tobytes() == np.array(values).tobytes()
+            assert table.shape == (len(anchors), len(order))
+            assert fn.evaluate_masks(anchors[0], order).tobytes() == table[0].tobytes()
 
 
 def test_composition_errors_come_from_the_first_failing_mask():
@@ -499,6 +521,58 @@ def test_compositions_of_expressions_make_no_scalar_evaluations(monkeypatch):
         fn.evaluate_masks(x, range(16))
         decomp.delta_star(fn, x)
     assert calls == []
+
+
+def test_an_axiom_check_makes_one_block_pass_per_side(monkeypatch):
+    f = expr.ExpressionFunction("x1*x2 - 3*x3 + max(x4, 0)^2 + exp(x1/4)", 4)
+    passes, depth = [], [0]
+    for cls in (expr.ExpressionFunction, expr._Relabeled):
+        def counted(self, *args, block=cls._evaluate_block):
+            if depth[0] == 0:  # a pass of evaluate_table, not a composition's inner block
+                passes.append(type(self))
+            depth[0] += 1
+            try:
+                return block(self, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "_evaluate_block", counted)
+    points = sample_points(4, 50, -3.0, 3.0, seed=5)
+    assert check_A2_permutation(DELTA_STAR, f, (2, 0, 3, 1), points).status == "pass"
+    # one pass for the relabeled function and one for the function itself;
+    # one point at a time made one pass per point and side, 100 in all
+    assert passes == [expr._Relabeled, expr.ExpressionFunction]
+
+
+def test_evaluate_table_rows_are_the_one_point_tables():
+    fn = expr.ExpressionFunction("x1*x2 - x3^3 + exp(x2/4)", 3)
+    for n, masks in ((300, range(8)), (2, range(8)), (3, [5, 0, 7, 7]), (1, [])):
+        anchors = points(3, n, seed=n)
+        table = fn.evaluate_table(anchors, masks)
+        assert table.shape == (n, len(masks))
+        want = np.array([fn.evaluate_masks(x, masks) for x in anchors]).reshape(n, len(masks))
+        assert table.tobytes() == want.tobytes()
+    assert fn.evaluate_table([], range(8)).shape == (0, 8)
+
+
+def test_evaluate_table_raises_the_first_error_in_point_order():
+    fn = expr.ExpressionFunction("ln(x1 + 1) * x2", 2)
+    # the second point fails before the third is found not to be a point
+    with pytest.raises(expr.EvaluationError, match=r"ln of non-positive value -1\.0"):
+        fn.evaluate_table([(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)], range(4))
+    with pytest.raises(core.NonFiniteCoordinateError):
+        fn.evaluate_table([(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)], range(4))
+    with pytest.raises(DimensionMismatchError):
+        fn.evaluate_table([(1.0, 2.0), (1.0,)], range(4))
+    # a bad first point is reported before bad masks, as for one point
+    with pytest.raises(core.NonFiniteCoordinateError):
+        fn.evaluate_table([(math.nan, 1.0)], [9])
+    # a native function is not called past the point that raises
+    calls = []
+    native = expr.NativeFunction(lambda y: calls.append(y) or fn(y), 2)
+    with pytest.raises(expr.EvaluationError):
+        native.evaluate_table([(1.0, 2.0), (-2.0, 1.0), (3.0, 1.0)], range(4))
+    assert calls[-1] == calls[-2] == (-2.0, 0.0)
+    assert (3.0, 0.0) not in calls
 
 
 def test_batched_rounding_near_zero_follows_the_scalar_path():

@@ -228,6 +228,35 @@ def test_weighted_marginals_gives_dummy_exactly_zero_for_any_weight():
         gm.weighted_marginals(values[:-1], d)
 
 
+def _one_row_kernel(values, d):
+    """The kernel on one table as a loop over coordinates, each sum taken
+    over the table's own 1-D differences."""
+    sizes = np.array([bin(m).count("1") for m in range(1 << d)])
+    w = np.array([0.0] + [gm.shapley_weight(d, s) for s in range(1, d + 1)])[sizes]
+    out = np.empty(d)
+    for i in range(d):
+        diff = values.reshape(-1, 2, 1 << i)[:, 1] - values.reshape(-1, 2, 1 << i)[:, 0]
+        diff *= w.reshape(-1, 2, 1 << i)[:, 1]
+        out[i] = diff.sum()
+    return out
+
+
+def test_batched_kernel_rows_equal_the_one_row_kernel():
+    rng = np.random.default_rng(23)
+    for d in range(1, 13):
+        for n in (1, 2, 5, 33):
+            u = rng.uniform(-1.0, 1.0, size=(n, 1 << d))
+            table = 1e8 * u ** 5  # magnitudes spread over many binades
+            batched = gm.weighted_marginals(table, d)
+            assert batched.shape == (n, d)
+            for k in range(n):
+                assert batched[k].tobytes() == gm.weighted_marginals(table[k], d).tobytes()
+                assert batched[k].tobytes() == _one_row_kernel(table[k], d).tobytes()
+    assert gm.weighted_marginals(np.empty((0, 8)), 3).shape == (0, 3)
+    with pytest.raises(DimensionMismatchError):
+        gm.weighted_marginals(np.zeros((2, 7)), 3)
+
+
 def test_game_from_table_zeroes_a_tolerated_origin_and_rejects_a_large_one():
     g = gm.game_from_table(2, np.array([1e-14, 1.0, 2.0, 4.0]))
     assert g.values.tolist() == [0.0, 1.0, 2.0, 4.0]
