@@ -106,7 +106,8 @@ def _decompose(fn: FunctionHandle, points: list, combine: Callable[[np.ndarray],
         # the array of all masks is built per group, so it is freed before
         # the kernel runs
         table = fn.evaluate_table(chunk, np.arange(n_masks) if masks is None else masks)
-        out += [DecompositionResult(as_point(x, fn.d), tuple(c), total, method)
+        # evaluate_table has validated every point of the group
+        out += [DecompositionResult(tuple(map(float, x)), tuple(c), total, method)
                 for x, c, total in zip(chunk, combine(table).tolist(), table[:, -1].tolist())]
         del table  # before the next group's table is built
     return out

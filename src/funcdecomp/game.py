@@ -215,6 +215,14 @@ def add_games(a: Game, b: Game) -> Game:
 
 
 def game_from_json(data: Mapping) -> Game:
+    """Read a game from its JSON form (see above).
+
+    A key lists distinct indices in 1..d, in any order, with spaces
+    around them and leading zeros allowed; a coalition spelled twice, a
+    repeated index or a payoff that is not a finite number is a
+    `GameFormatError`, and the first bad entry in key order is reported.
+    Each distinct index spelling is parsed once per call.
+    """
     if not isinstance(data, Mapping) or "d" not in data or "values" not in data:
         raise GameFormatError('game JSON needs the keys "d" and "values"')
     d = data["d"]
@@ -223,14 +231,20 @@ def game_from_json(data: Mapping) -> Game:
     raw = data["values"]
     if not isinstance(raw, Mapping):
         raise GameFormatError('"values" must be an object of coalition: payoff entries')
+    bits = _IndexBits(d)
     values: list[float | None] = [None] * (1 << d)
     for key, payoff in raw.items():
-        mask = _parse_coalition_key(key, d)
+        mask = bits.mask(key)
+        if mask is None:
+            mask = _parse_coalition_key(key, d)  # an invalid key: raises its error
         if values[mask] is not None:
             raise GameFormatError(f"coalition {key!r} listed twice")
         if not isinstance(payoff, (int, float)) or isinstance(payoff, bool):
             raise GameFormatError(f"payoff for {key!r} is not a number: {payoff!r}")
-        values[mask] = float(payoff)
+        try:
+            values[mask] = float(payoff)
+        except OverflowError:  # an integer beyond the float range
+            raise GameFormatError(f"payoff for {key!r} is not a finite number") from None
     if values[0] is None:  # missing empty coalition defaults to 0
         values[0] = 0.0
     if values[0] != 0.0:
@@ -244,11 +258,44 @@ def game_from_json(data: Mapping) -> Game:
     return Game(d, values)
 
 
+class _IndexBits(dict):
+    """The bit of each index spelling met so far, for one `game_from_json`
+    call: ``1 << (i-1)`` for an index ``i`` in 1..d and 0 for any other
+    integer; a part that is not an integer raises ValueError."""
+
+    def __init__(self, d: int) -> None:
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, part: str) -> int:
+        i = int(part)
+        bit = self[part] = 1 << (i - 1) if 1 <= i <= self.d else 0
+        return bit
+
+    def mask(self, key: object) -> int | None:
+        """The mask of a valid coalition key; None for any other key.
+
+        Distinct indices in range set one bit each; a repeated index
+        carries and one out of range adds 0, so either leaves fewer set
+        bits than parts."""
+        if not isinstance(key, str):
+            return None
+        text = key.strip()
+        parts = text.split(",") if text else []
+        try:
+            mask = sum(map(self.__getitem__, parts))
+        except ValueError:
+            return None
+        return mask if mask.bit_count() == len(parts) else None
+
+
 def _coalition_key(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
 
 
 def _parse_coalition_key(key: str, d: int) -> int:
+    """The mask of a coalition key, or the `GameFormatError` that names
+    what is wrong with it."""
     if not isinstance(key, str):
         raise GameFormatError(f"coalition key must be a string, got {key!r}")
     text = key.strip()

@@ -305,6 +305,21 @@ def test_shapley_exit_3_on_boolean_dimension(capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
+def test_shapley_exit_3_on_a_payoff_beyond_the_float_range(capsys, tmp_path):
+    path = write_game(tmp_path, {"d": 1, "values": {"1": 10 ** 400}})  # a 401-digit integer
+    code, out, err = run(capsys, "shapley", path)
+    assert (code, out, err) == (3, "", "error: payoff for '1' is not a finite number\n")
+
+
+def test_shapley_reads_keys_in_any_spelling(capsys, tmp_path):
+    (tmp_path / "a").mkdir()
+    spelled = write_game(tmp_path / "a", {"d": 2, "values": {" 02 , 1": 4, "+1": 1, "2 ": 2}})
+    canonical = write_game(tmp_path, {"d": 2, "values": {"1": 1, "2": 2, "1,2": 4}})
+    assert run(capsys, "shapley", spelled) == run(capsys, "shapley", canonical)
+    code, out, err = run(capsys, "shapley", write_game(tmp_path, {"d": 2, "values": {"1,01": 1}}))
+    assert (code, out, err) == (3, "", "error: repeated index in coalition key '1,01'\n")
+
+
 # ---------------------------------------------------------------------------
 # axioms
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from funcdecomp import decomp
+from funcdecomp import core, decomp, expr
 from funcdecomp.core import (
     DimensionMismatchError,
     NonFiniteCoordinateError,
@@ -393,6 +393,25 @@ def test_many_points_raise_the_first_error_in_point_order():
                 many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
     with pytest.raises(EvaluationError):
         decomp.delta_star_many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
+
+
+def test_each_point_is_validated_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return core.as_point(*args)
+
+    for mod in (decomp, expr):
+        monkeypatch.setattr(mod, "as_point", counted)
+    fn = ExpressionFunction("x1*x2 + x3 + 1", 3)
+    points = [np.array(x) for x in rand_points(3, 5, seed=3)]
+    results = decomp.delta_star_many(fn, points)
+    # the first point before the dimension cap, then each point once in
+    # evaluate_table; two per point and one more made 11
+    assert len(calls) <= 6
+    assert [r.x for r in results] == [core.as_point(x) for x in points]
+    assert all(type(c) is float for r in results for c in r.x)
 
 
 def test_many_points_hold_at_most_two_groups_of_the_table():

@@ -11,6 +11,7 @@ from funcdecomp.core import (
     DimensionMismatchError,
     NonzeroOriginError,
     full_mask,
+    mask_from_indices,
     permute_mask,
 )
 from funcdecomp.expr import ExpressionFunction, NativeFunction
@@ -314,3 +315,112 @@ def test_json_names_duplicate_and_missing_coalitions():
                        match=r"^3 coalition\(s\) missing from the table \(e\.g\. 1, 1,2, 3\)$"):
         gm.game_from_json({"d": 3, "values": {"2": 1.0, "2,3": 1.0, "1,3": 0.5,
                                               "1,2,3": 4.0}})
+
+
+def test_json_payoff_beyond_the_float_range_is_a_format_error():
+    for key in ("1", ""):
+        with pytest.raises(gm.GameFormatError,
+                           match=rf"^payoff for '{key}' is not a finite number$"):
+            gm.game_from_json({"d": 1, "values": {key: 10 ** 400}})
+    # an integer that rounds to a float is still read as one
+    g = gm.game_from_json({"d": 1, "values": {"1": 10 ** 300}})
+    assert g.values[1] == 1e300
+
+
+def test_json_reports_the_first_bad_entry_in_key_order():
+    with pytest.raises(gm.GameFormatError, match=r"^coalition '01' listed twice$"):
+        gm.game_from_json({"d": 2, "values": {"1": 1.0, "01": 2.0, "x": 3.0}})
+    with pytest.raises(gm.GameFormatError, match=r"^payoff for '1' is not a number: 'high'$"):
+        gm.game_from_json({"d": 2, "values": {"1": "high", "x": 3.0}})
+    with pytest.raises(gm.GameFormatError, match=r"^bad coalition key 'x'$"):
+        gm.game_from_json({"d": 2, "values": {"x": 3.0, "1": "high"}})
+    # a repeated index is named before an index out of range
+    with pytest.raises(gm.GameFormatError, match=r"^repeated index in coalition key '9,1,1'$"):
+        gm.game_from_json({"d": 2, "values": {"9,1,1": 1.0}})
+
+
+def reference_coalition_key(key, d):
+    """The coalition-key parser as it was before keys were memoised: one
+    int() per index."""
+    if not isinstance(key, str):
+        raise gm.GameFormatError(f"coalition key must be a string, got {key!r}")
+    text = key.strip()
+    if not text:
+        return 0
+    try:
+        indices = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise gm.GameFormatError(f"bad coalition key {key!r}") from None
+    if len(set(indices)) != len(indices):
+        raise gm.GameFormatError(f"repeated index in coalition key {key!r}")
+    try:
+        return mask_from_indices(indices, d)
+    except DimensionMismatchError as exc:
+        raise gm.GameFormatError(f"bad coalition key {key!r}: {exc}") from None
+
+
+INDEX_SPELLINGS = st.builds(
+    lambda space, sign, zeros, i, tail: f"{space}{sign}{'0' * zeros}{i}{tail}{space}",
+    st.sampled_from(["", " "]), st.sampled_from(["", "", "", "+", "-"]), st.integers(0, 2),
+    st.integers(0, 7), st.sampled_from(["", "", "", "", "", "", "_0", ".0", "a", "_"]))
+REPEATED_INDEX_KEYS = st.builds(
+    lambda parts, i, a, b: [*parts, "0" * a + str(i), "0" * b + str(i)],
+    st.lists(INDEX_SPELLINGS, max_size=2), st.integers(1, 5), st.integers(0, 2),
+    st.integers(0, 2)).flatmap(st.permutations).map(",".join)
+COALITION_KEYS = st.one_of(
+    st.lists(st.one_of(INDEX_SPELLINGS, st.just("")), max_size=4).map(",".join),
+    REPEATED_INDEX_KEYS,
+    st.text(alphabet="0123456789,+-_. a", max_size=8),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.lists(COALITION_KEYS, min_size=1, max_size=3))
+def test_json_keys_read_as_the_one_int_per_index_parser_reads_them(d, keys):
+    # the drawn keys come first; canonical keys complete the table
+    raw, seen, want = {}, {}, None
+    for n, key in enumerate(keys):
+        if key in raw:
+            continue
+        raw[key] = float(n + 1)
+        if want is None:
+            try:
+                mask = reference_coalition_key(key, d)
+                if mask in seen:
+                    raise gm.GameFormatError(f"coalition {key!r} listed twice")
+                seen[mask] = float(n + 1)
+            except gm.GameFormatError as exc:
+                want = exc
+    for mask in range(1, 1 << d):
+        if mask not in seen:
+            seen[mask] = raw.setdefault(gm._coalition_key(mask), float(mask))
+    if want is None and seen.get(0, 0.0) != 0.0:
+        want = NonzeroOriginError(f"empty coalition must be worth 0, got {seen[0]!r}")
+    if want is not None:
+        with pytest.raises(type(want)) as info:
+            gm.game_from_json({"d": d, "values": raw})
+        assert str(info.value) == str(want)
+    else:
+        got = gm.game_from_json({"d": d, "values": raw})
+        assert got.values.tolist() == [seen.get(m, 0.0) for m in range(1 << d)]
+
+
+def test_json_parses_each_index_spelling_once(monkeypatch):
+    tail, missing = [], []
+
+    def counted_tail(key, d, parse=gm._parse_coalition_key):
+        tail.append(key)
+        return parse(key, d)
+
+    def counted_missing(self, part, lookup=gm._IndexBits.__missing__):
+        missing.append(part)
+        return lookup(self, part)
+
+    monkeypatch.setattr(gm, "_parse_coalition_key", counted_tail)
+    monkeypatch.setattr(gm._IndexBits, "__missing__", counted_missing)
+    d = 10
+    game = gm.game_from_json({"d": d, "values": {gm._coalition_key(m): float(m)
+                                                 for m in range(1 << d)}})
+    assert game.values.tolist() == list(range(1 << d))
+    assert tail == []  # no valid key reaches the one-int-per-index error path
+    assert sorted(missing, key=int) == [str(i) for i in range(1, d + 1)]
