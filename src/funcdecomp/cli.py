@@ -333,9 +333,23 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_FAIL
 
 
+def _read_game_json(path: str) -> object:
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer of more digits than int() may convert
+        raise GameFormatError(
+            f"an integer in the game JSON has more than {sys.get_int_max_str_digits()} "
+            "digits; payoffs must be finite numbers"
+        ) from None
+
+
 def cmd_shapley(args: argparse.Namespace) -> int:
-    with open(args.game) as fh:
-        game = game_from_json(json.load(fh))  # the parsed JSON is freed before the kernel runs
+    # the parsed JSON is freed before the kernel runs
+    game = game_from_json(_read_game_json(args.game))
     allocation = shapley(game)
     meta = {"method": "shapley", "d": game.d, "game": os.path.basename(args.game)}
     _write_output(
@@ -540,7 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TABLE
     except NonzeroOriginError as exc:
-        sys.stderr.write(f"error: {exc}\nhint: use --method delta-star\n")
+        hint = "hint: use --method delta-star\n" if args.command == "decompose" else ""
+        sys.stderr.write(f"error: {exc}\n{hint}")
         return EXIT_ORIGIN
     except (DimensionMismatchError, NonFiniteCoordinateError, EvaluationError,
             ValueError, OSError) as exc:

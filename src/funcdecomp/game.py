@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -213,6 +214,10 @@ def add_games(a: Game, b: Game) -> Game:
 # JSON interchange: {"d": int, "values": {"1,3": payoff, ...}} with coalition
 # keys as comma-separated 1-based indices ("" for the empty coalition).
 
+# Keys per string comparison in `_mask_ordered_payoffs`: the text built at
+# once stays small (a whole d = 18 block would be megabytes).
+_KEY_CHUNK = 1 << 12
+
 
 def game_from_json(data: Mapping) -> Game:
     """Read a game from its JSON form (see above).
@@ -221,7 +226,11 @@ def game_from_json(data: Mapping) -> Game:
     around them and leading zeros allowed; a coalition spelled twice, a
     repeated index or a payoff that is not a finite number is a
     `GameFormatError`, and the first bad entry in key order is reported.
-    Each distinct index spelling is parsed once per call.
+    A table whose keys are the canonical ones in mask order (the order
+    `Game.values` is indexed in, with or without ``""``) and whose
+    payoffs are all ints and floats is read in one pass; any other table
+    is read key by key, each distinct index spelling parsed once per
+    call.  Key order affects only the speed.
     """
     if not isinstance(data, Mapping) or "d" not in data or "values" not in data:
         raise GameFormatError('game JSON needs the keys "d" and "values"')
@@ -231,6 +240,67 @@ def game_from_json(data: Mapping) -> Game:
     raw = data["values"]
     if not isinstance(raw, Mapping):
         raise GameFormatError('"values" must be an object of coalition: payoff entries')
+    values = _mask_ordered_payoffs(raw, d)
+    if values is None:
+        values = _payoffs_by_key(raw, d)
+    if values[0] != 0.0:
+        raise NonzeroOriginError(f"empty coalition must be worth 0, got {float(values[0])!r}")
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        names = ", ".join(_coalition_key(int(m)) for m in missing[:5])
+        raise GameFormatError(
+            f"{missing.size} coalition(s) missing from the table (e.g. {names})"
+        )
+    return Game(d, values)
+
+
+def _mask_ordered_payoffs(raw: Mapping, d: int) -> np.ndarray | None:
+    """The payoffs of a table in mask order, read in one pass; None for any
+    other table, and for one with a payoff that is not a finite int or
+    float, so that `_payoffs_by_key` reads it and words its error.
+
+    In mask order the key of mask ``2^(i-1)`` is ``"i"`` and that of mask
+    ``2^(i-1) + m``, for ``0 < m < 2^(i-1)``, is the key of mask ``m``
+    with ``",i"`` appended, so each block of keys is checked against the
+    block before it, `_KEY_CHUNK` keys per string comparison; a table in
+    another order stops at its first differing chunk.  Both sides of a
+    comparison join the same number of keys, so a key holding a newline
+    cannot match.
+    """
+    n = 1 << d
+    if len(raw) == n - 1:
+        keys = ["", *raw]
+    elif len(raw) == n:
+        keys = list(raw)
+    else:
+        return None
+    if keys[0] != "":
+        return None
+    for i in range(1, d + 1):
+        half = 1 << (i - 1)
+        if keys[half] != str(i):
+            return None
+        for lo in range(1, half, _KEY_CHUNK):
+            hi = min(lo + _KEY_CHUNK, half)
+            try:
+                if ("\n".join([*keys[lo:hi], ""]).replace("\n", f",{i}\n")
+                        != "\n".join([*keys[half + lo:half + hi], ""])):
+                    return None
+            except TypeError:  # a key that is not a string
+                return None
+    if not {int, float}.issuperset(map(type, raw.values())):
+        return None
+    try:
+        values = np.fromiter(chain([] if len(raw) == n else [0.0], raw.values()), float, n)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _payoffs_by_key(raw: Mapping, d: int) -> np.ndarray:
+    """The payoffs of a table in any key order and spelling, NaN for a
+    missing coalition and 0 for a missing empty one; the first bad entry
+    in key order raises its `GameFormatError`."""
     bits = _IndexBits(d)
     values: list[float | None] = [None] * (1 << d)
     for key, payoff in raw.items():
@@ -242,20 +312,15 @@ def game_from_json(data: Mapping) -> Game:
         if not isinstance(payoff, (int, float)) or isinstance(payoff, bool):
             raise GameFormatError(f"payoff for {key!r} is not a number: {payoff!r}")
         try:
-            values[mask] = float(payoff)
+            value = float(payoff)
         except OverflowError:  # an integer beyond the float range
-            raise GameFormatError(f"payoff for {key!r} is not a finite number") from None
+            value = math.inf
+        if not math.isfinite(value):
+            raise GameFormatError(f"payoff for {key!r} is not a finite number")
+        values[mask] = value
     if values[0] is None:  # missing empty coalition defaults to 0
         values[0] = 0.0
-    if values[0] != 0.0:
-        raise NonzeroOriginError(f"empty coalition must be worth 0, got {values[0]!r}")
-    if None in values:
-        missing = [m for m, v in enumerate(values) if v is None]
-        names = ", ".join(_coalition_key(m) for m in missing[:5])
-        raise GameFormatError(
-            f"{len(missing)} coalition(s) missing from the table (e.g. {names})"
-        )
-    return Game(d, values)
+    return np.array(values, dtype=float)  # None, a missing coalition, reads NaN
 
 
 class _IndexBits(dict):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,8 +299,9 @@ def test_shapley_exit_3_on_missing_coalition(capsys, tmp_path):
 
 def test_shapley_exit_4_on_normalization(capsys, tmp_path):
     path = write_game(tmp_path, {"d": 1, "values": {"": 0.5, "1": 1}})
-    code, _, _ = run(capsys, "shapley", path)
+    code, _, err = run(capsys, "shapley", path)
     assert code == 4
+    assert "hint" not in err  # --method belongs to decompose only
 
 
 def test_shapley_exit_3_on_boolean_dimension(capsys, tmp_path):
@@ -309,6 +314,28 @@ def test_shapley_exit_3_on_a_payoff_beyond_the_float_range(capsys, tmp_path):
     path = write_game(tmp_path, {"d": 1, "values": {"1": 10 ** 400}})  # a 401-digit integer
     code, out, err = run(capsys, "shapley", path)
     assert (code, out, err) == (3, "", "error: payoff for '1' is not a finite number\n")
+
+
+def test_shapley_exit_3_on_a_non_finite_payoff(capsys, tmp_path):
+    for text, key in [('{"d": 2, "values": {"2": Infinity, "1": NaN, "1,2": 1}}', "2"),
+                      ('{"d": 1, "values": {"": NaN, "1": 1}}', ""),
+                      ('{"d": 1, "values": {"": 0, "1": -Infinity}}', "1")]:
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "shapley", str(path))
+        assert (code, out, err) == (3, "", f"error: payoff for '{key}' is not a finite number\n")
+
+
+def test_shapley_exit_3_on_a_payoff_of_more_digits_than_int_may_convert(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text('{"d": 1, "values": {"1": 1' + "0" * 5000 + "}}")
+    code, out, err = run(capsys, "shapley", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: an integer in the game JSON has more than ")
+    assert err.count("\n") == 1 and "set_int_max_str_digits" not in err
+    path.write_text('{"d": 1, "values": {')  # text that is not JSON stays a usage error
+    code, out, err = run(capsys, "shapley", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: Expecting")
 
 
 def test_shapley_reads_keys_in_any_spelling(capsys, tmp_path):
@@ -505,3 +532,13 @@ def test_csv_format_header(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "x1,x2,G1,G2,total,residual"
+
+
+def test_python_m_funcdecomp_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "funcdecomp", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: funcdecomp")

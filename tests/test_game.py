@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -337,6 +338,9 @@ def test_json_reports_the_first_bad_entry_in_key_order():
     # a repeated index is named before an index out of range
     with pytest.raises(gm.GameFormatError, match=r"^repeated index in coalition key '9,1,1'$"):
         gm.game_from_json({"d": 2, "values": {"9,1,1": 1.0}})
+    # a key that is not a string, where a table in mask order has "1,2"
+    with pytest.raises(gm.GameFormatError, match=r"^coalition key must be a string, got \(1, 2\)$"):
+        gm.game_from_json({"d": 2, "values": {"": 0, "1": 1, "2": 2, (1, 2): 3}})
 
 
 def reference_coalition_key(key, d):
@@ -419,8 +423,64 @@ def test_json_parses_each_index_spelling_once(monkeypatch):
     monkeypatch.setattr(gm, "_parse_coalition_key", counted_tail)
     monkeypatch.setattr(gm._IndexBits, "__missing__", counted_missing)
     d = 10
-    game = gm.game_from_json({"d": d, "values": {gm._coalition_key(m): float(m)
-                                                 for m in range(1 << d)}})
+    items = [(gm._coalition_key(m), float(m)) for m in range(1 << d)]
+    # in mask order the table is read in one pass: no key is parsed
+    game = gm.game_from_json({"d": d, "values": dict(items)})
     assert game.values.tolist() == list(range(1 << d))
-    assert tail == []  # no valid key reaches the one-int-per-index error path
+    assert tail == [] and missing == []
+    # shuffled, each index spelling is parsed once and no valid key reaches
+    # the one-int-per-index error path
+    np.random.default_rng(3).shuffle(items)
+    assert gm.game_from_json({"d": d, "values": dict(items)}) == game
+    assert tail == []
     assert sorted(missing, key=int) == [str(i) for i in range(1, d + 1)]
+
+
+def test_json_non_finite_payoff_names_the_first_entry_in_key_order():
+    for values, key in [({"2": math.inf, "1": math.nan, "1,2": 1}, "2"),
+                        ({"": math.nan, "1": 1}, ""),
+                        ({"": 0, "1": -math.inf}, "1"),
+                        ({"1": 1, "2": 2, "1,2": math.nan}, "1,2")]:
+        d = max(len(k.split(",")) for k in values)
+        with pytest.raises(gm.GameFormatError,
+                           match=rf"^payoff for '{key}' is not a finite number$"):
+            gm.game_from_json({"d": d, "values": values})
+
+
+ODD_PAYOFFS = st.sampled_from(
+    [True, False, "1", None, [1.0], 10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf,
+     2 ** 53 + 1, 2 ** 64 + 1, -0.0])
+RESPELLINGS = st.sampled_from([" 1", "01", "1\n", "\n1", "2,1", "1,1", "x", ""])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_mask_ordered_json_reads_as_the_key_by_key_loop_reads_it(d, with_empty, data):
+    keys = [gm._coalition_key(m) for m in range(0 if with_empty else 1, 1 << d)]
+    payoffs = data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-2 ** 70, 2 ** 70)),
+                                 min_size=len(keys), max_size=len(keys)))
+    if with_empty:
+        payoffs[0] = data.draw(st.sampled_from([0, 0.0, 0, 0.0, -0.0, 0.5, 1]))
+    for k in data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=2)):
+        payoffs[k] = data.draw(ODD_PAYOFFS)
+    keys_changed = data.draw(st.sampled_from(["none", "none", "swap", "respell"]))
+    if keys_changed == "swap" and len(keys) > 1:
+        k = data.draw(st.integers(0, len(keys) - 2))
+        keys[k], keys[k + 1] = keys[k + 1], keys[k]
+    elif keys_changed == "respell":
+        keys[data.draw(st.integers(0, len(keys) - 1))] = data.draw(RESPELLINGS)
+    raw = dict(zip(keys, payoffs))
+
+    def outcome():
+        try:
+            return "game", gm.game_from_json({"d": d, "values": raw}).values.tobytes()
+        except (gm.GameFormatError, NonzeroOriginError) as exc:
+            return type(exc), str(exc)
+
+    with mock.patch.object(gm, "_mask_ordered_payoffs", return_value=None):
+        want = outcome()  # the key-by-key loop alone
+    # keys compared a few at a time as well, so that blocks span several chunks
+    with mock.patch.object(gm, "_KEY_CHUNK", data.draw(st.sampled_from([1, 2, 3, gm._KEY_CHUNK]))):
+        assert outcome() == want
+        if want[0] == "game" and keys_changed == "none":  # the one-pass read was taken
+            assert gm._mask_ordered_payoffs(raw, d) is not None
