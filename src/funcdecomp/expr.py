@@ -46,9 +46,16 @@ from .core import (
 # Projected points per block in FunctionHandle.evaluate_table: the working
 # set of an expression is a few arrays of this length per tree node,
 # whatever the number of masks.
-MASK_BLOCK = 4096
-# Blocks up to this many points call ^, exp and ln once per point instead
-# of once per distinct operand (see _per_operand).
+MASK_BLOCK = 1 << 16
+# Operands of up to this many values call ^, exp and ln once per value
+# instead of once per distinct value (see _per_operand).  Runs of up to this
+# many masks, such as the 16-mask rows of a d = 4 axiom check, are gathered,
+# not laid out as a cube (see ExpressionFunction._evaluate_block): as cubes
+# they gain nothing.  On a 2-core x86-64 box, ten alternating pairs of
+# perfbench's axioms-d4 read op_s_p50 2.0% above the code with 4096-mask
+# gathered blocks with these rows as cubes (higher in 7 of 10), and 0.3%
+# below it with them gathered; the two layouts compared head to head
+# differed by 0.1% (5 of 10).
 _SHORT = 64
 
 
@@ -285,30 +292,44 @@ def _finite(v, ok: np.ndarray):
 
 def _per_operand(scalar: Callable[..., float], ok: np.ndarray, *operands):
     """``scalar`` applied to each point's operands; points where it raises
-    get NaN and are cleared in ``ok``.
+    get NaN and are cleared in ``ok``.  The operands may be of any shapes
+    that broadcast together, and the result is of their broadcast shape,
+    up to leading axes of length 1.
 
-    With one varying operand in a long block it is called once per distinct
-    value: projected points share few (a variable's column holds only
-    ``x_j`` and ``0.0``), so a block costs a few calls instead of one per
-    point.  In short blocks finding the repeats costs more than it saves.
+    With one varying operand of more than ``_SHORT`` values it is called
+    once per distinct value: projected points share few (a variable's
+    column holds only ``x_j`` and ``0.0``), so a block costs a few calls
+    instead of one per point.  In short operands finding the repeats costs
+    more than it saves.
     """
-    varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.ndim]
+    varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
     if not varying:
         try:
-            return scalar(*map(float, operands))
+            return scalar(*map(_one, operands))
         except EvaluationError:
             ok[:] = False
             return math.nan
+    if len(varying) > 1:
+        operands = np.broadcast_arrays(*operands)
+    # the result takes the varying operands' shape: size-1 operands
+    # broadcast against any shape, so dropping their leading axes changes
+    # no value
+    shape = operands[varying[0]].shape
+    columns = [a.ravel() if i in varying else a for i, a in enumerate(operands)]
     key = None
-    if len(varying) == 1 and len(ok) > _SHORT:
+    if len(varying) == 1 and len(columns[varying[0]]) > _SHORT:
         i = varying[0]
-        distinct, key = _distinct(operands[i])
-        operands = operands[:i] + (distinct,) + operands[i + 1:]
-    n = len(operands[varying[0]])
-    columns = [operands[i].tolist() if i in varying else [float(a)] * n
-               for i, a in enumerate(operands)]
+        columns[i], key = _distinct(columns[i])
+    n = len(columns[varying[0]])
+    columns = [a.tolist() if i in varying else [_one(a)] * n for i, a in enumerate(columns)]
     values = np.array(_calls(scalar, zip(*columns)), dtype=float)
-    return _finite(values if key is None else values[key], ok)
+    return _finite((values if key is None else values[key]).reshape(shape), ok)
+
+
+def _one(operand) -> float:
+    """The value of an operand of one value, such as a cube's (1, ..., 1)
+    column; float() of an array with ndim > 0 is deprecated."""
+    return operand.item() if isinstance(operand, np.ndarray) else float(operand)
 
 
 def _calls(scalar: Callable[..., float], rows: Iterable[tuple]) -> list[float]:
@@ -572,15 +593,38 @@ class ExpressionFunction(FunctionHandle):
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         """The program run with numpy over the block's coordinate columns;
         points whose scalar evaluation raises or passes through a
-        non-finite value are left NaN."""
+        non-finite value are left NaN.
+
+        An aligned run of more than ``_SHORT`` masks, ``m0 .. m0 + 2^k - 1``
+        with ``m0`` a multiple of ``2^k``, is laid out as a cube of shape
+        ``(anchors, 2, ..., 2)`` whose C-order flattening is mask order:
+        variable ``j < k`` takes ``[off_j, a_j]`` on the axis of bit j (bit
+        0 last), and variable ``j >= k`` the one value bit j of ``m0``
+        picks.  Broadcasting then evaluates each subtree only at the points
+        its own variables take.  Other blocks gather one column entry per
+        point.
+        """
+        n, k = len(masks), len(masks).bit_length() - 1
         cols: list = [None] * self.d
-        for j in self._variables:
-            cols[j] = np.where(masks >> j & 1, anchors[:, j, None], off[j]).reshape(-1)
-        ok = np.ones(len(anchors) * len(masks), dtype=bool)
+        if n > _SHORT and n == 1 << k and masks[0] % n == 0 and (np.diff(masks) == 1).all():
+            m0 = int(masks[0])
+            shape = (len(anchors),) + (2,) * k
+            for j in self._variables:
+                if j < k:
+                    column = np.column_stack([np.full(len(anchors), off[j]), anchors[:, j]])
+                    cols[j] = column.reshape((-1,) + (1,) * (k - 1 - j) + (2,) + (1,) * j)
+                else:
+                    column = anchors[:, j] if m0 >> j & 1 else np.full(len(anchors), off[j])
+                    cols[j] = column.reshape((-1,) + (1,) * k)
+        else:
+            shape = (len(anchors) * n,)
+            for j in self._variables:
+                cols[j] = np.where(masks >> j & 1, anchors[:, j, None], off[j]).reshape(-1)
+        ok = np.ones(shape, dtype=bool)
         values = _run_block(self._program, cols, ok)
-        if isinstance(values, np.ndarray) and ok.all():
-            return values
-        return np.where(ok, values, math.nan)
+        if isinstance(values, np.ndarray) and values.shape == shape and ok.all():
+            return values.reshape(-1)
+        return np.where(ok, values, math.nan).reshape(-1)
 
 
 class NativeFunction(FunctionHandle):

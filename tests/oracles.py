@@ -73,3 +73,27 @@ def brute_shapley(values_by_frozenset, d):
             prev = cur
     n = math.factorial(d)
     return [a / n for a in acc]
+
+
+def harsanyi_dividends(fn, x):
+    """Harsanyi dividends of the game T -> fn(masked(x, T)), keyed by
+    subsets as sorted index tuples: its Möbius transform, one butterfly
+    pass per coordinate, so dividends[T] is the alternating sum of the game
+    over the subsets of T."""
+    d = len(x)
+    dividends = {s: fn(masked(x, s))
+                 for r in range(d + 1) for s in itertools.combinations(range(d), r)}
+    for i in range(d):
+        for subset in dividends:
+            if i in subset:
+                dividends[subset] -= dividends[tuple(j for j in subset if j != i)]
+    return dividends
+
+
+def dividend_delta_star(fn, x):
+    """delta-star from the dividends: the empty set's split evenly over the
+    d coordinates, every other one split evenly over its own members."""
+    d = len(x)
+    dividends = harsanyi_dividends(fn, x)
+    return [dividends[()] / d + math.fsum(v / len(s) for s, v in dividends.items() if i in s)
+            for i in range(d)]

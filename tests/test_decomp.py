@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcdecomp import core, decomp, expr
 from funcdecomp.core import (
@@ -17,12 +19,21 @@ from funcdecomp.expr import (
     EvaluationError,
     ExpressionFunction,
     NativeFunction,
+    TableFunction,
     compose_permutation,
 )
 from funcdecomp.game import game_from_binary_function, shapley
 from funcdecomp.axioms import max_monomial, random_polynomial
 
-from oracles import all_close, brute_as, brute_delta_star, close, mean_of_sequential
+from oracles import (
+    all_close,
+    brute_as,
+    brute_delta_star,
+    close,
+    dividend_delta_star,
+    harsanyi_dividends,
+    mean_of_sequential,
+)
 
 
 def counting(fn):
@@ -349,6 +360,34 @@ def test_monomial_rule_binary_exponents_weighted_form():
 # many points per call
 
 
+@st.composite
+def _tables_with_dummies(draw):
+    """A table of small integers in mask order, d <= 8, constant along the
+    coordinates of a drawn set, so dummies are common and sums are exact."""
+    d = draw(st.integers(1, 8))
+    dummies = draw(st.sets(st.integers(0, d - 1)))
+    active = sum(1 << j for j in range(d) if j not in dummies)
+    base = draw(st.lists(st.integers(-4, 4), min_size=1 << d, max_size=1 << d))
+    return d, [float(base[m & active]) for m in range(1 << d)]
+
+
+@given(_tables_with_dummies())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_four_routes_to_delta_star_agree_and_dividends_find_the_dummies(case):
+    d, values = case
+    x = tuple(float(j + 1) for j in range(d))
+    fn = TableFunction(d, [(core.project(x, m), v) for m, v in enumerate(values)])
+    kernel = decomp.delta_star(fn, x).contributions
+    orders = values[0] / d + core.permutation_average_marginals(values, d)
+    assert all_close(kernel, orders.tolist())
+    assert all_close(kernel, brute_delta_star(fn, x))
+    assert all_close(kernel, dividend_delta_star(fn, x))
+    dividends = harsanyi_dividends(fn, x)
+    for i in range(d):
+        dummy = all(values[m | 1 << i] == values[m] for m in range(1 << d))
+        assert dummy == all(v == 0.0 for s, v in dividends.items() if i in s)
+
+
 MANY = [
     (decomp.sequential_many, decomp.sequential),
     (decomp.as_permutation_many, decomp.as_permutation),
@@ -358,9 +397,12 @@ MANY = [
 ]
 
 
-def test_many_points_give_the_one_point_results():
+def test_many_points_give_the_one_point_results(monkeypatch):
+    # rows of 2^3 masks always gather, so a smaller block covers the same
+    # code as the default one with far fewer one-point reference calls
+    monkeypatch.setattr(expr, "MASK_BLOCK", 4096)
     fn = ExpressionFunction("x1*x2*x3 - x2^2 + exp(x3/3) - 1", 3)
-    points = rand_points(3, 600, seed=29)  # two blocks of evaluate_table
+    points = rand_points(3, expr.MASK_BLOCK // 8 + 88, seed=29)  # two blocks of evaluate_table
     for many, one in MANY:
         assert many(fn, points) == [one(fn, x) for x in points]
         assert many(fn, []) == []

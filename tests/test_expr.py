@@ -386,6 +386,90 @@ def test_batched_evaluation_matches_scalar_path(tree, x, masks):
     assert fn.evaluate_masks(x, repeated).tobytes() == np.array(values * (expr._SHORT + 1)).tobytes()
 
 
+# Runs of 2^7 or 2^8 masks at d = 9: x8 and x9 lie beyond the cube axes of
+# a 2^7 run and x9 beyond those of a 2^8 run; x3 to x6 are left out, so
+# some cube axes carry no variable.
+_cube_trees = st.recursive(
+    st.one_of(st.sampled_from([0.0, 0.5, 2.0, 800.0]).map(expr.Num),
+              st.sampled_from([0, 1, 6, 7, 8]).map(expr.Var)),
+    _batch_branch, max_leaves=8)
+_cube_coordinates = st.one_of(st.just(-0.0), st.floats(-6.0, -0.1), st.floats(0.1, 6.0))
+
+
+@st.composite
+def _mask_runs(draw):
+    """An aligned run of masks, the same run shifted by one, or reversed."""
+    n = 1 << draw(st.sampled_from([7, 8]))
+    m0 = n * draw(st.integers(0, 512 // n - 1))
+    run = range(m0, m0 + n)
+    return draw(st.sampled_from([run, range(m0 + 1, m0 + n + 1) if m0 + n < 512
+                                 else range(m0 - 1, m0 + n - 1), run[::-1]]))
+
+
+@given(_cube_trees, st.lists(st.tuples(*[_cube_coordinates] * 9), min_size=1, max_size=3),
+       _mask_runs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_aligned_and_unaligned_blocks_match_the_scalar_path(tree, anchors, masks):
+    fn = expr.ExpressionFunction(expr.format_expression(tree), 9)
+    values, error = [], None
+    for x in anchors:  # point by point, mask by mask
+        row, error = _scalar_table(fn, x, masks)
+        values += row
+        if error is not None:
+            break
+    if error is not None:
+        assert error.startswith("EvaluationError: ")
+        assert _table_raises(fn, anchors, masks) == error
+    else:
+        assert fn.evaluate_table(anchors, masks).tobytes() == np.array(values).tobytes()
+    # the block itself, not the scalar re-run evaluate_table falls back on:
+    # it does not raise, it leaves NaN exactly where the scalar path rejects
+    # the point, and every other value is the scalar one
+    with np.errstate(all="ignore"):
+        block = fn._evaluate_block(np.array(anchors), (0.0,) * 9, np.array(masks))
+    for got, (x, m) in zip(block.tolist(), ((x, m) for x in anchors for m in masks)):
+        try:
+            want = fn(core.project(x, m))
+        except expr.EvaluationError:
+            want = math.nan
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_every_aligned_run_matches_the_scalar_path():
+    # every run m0 .. m0 + 2^k - 1 of every size at d = 10: runs of up to
+    # 2^6 masks gather, longer ones are cubes, on which each of x8 to x10
+    # lies on a cube axis in some runs and is fixed by a bit of m0 in
+    # others; the block itself is checked, so a scalar re-run hides nothing
+    fn = expr.ExpressionFunction(
+        "x1*x2^3 - exp(x3/4)*x8 + ln(2 + x9^2)*x7 + 3*x10 - x2/7 + x8*x9*x10", 10)
+    anchors = [(1.5, -0.7, 2.25, -3.0, 0.5, 1.25, -2.0, 0.75, 1.1, -1.3),
+               (-0.0, 1.1, -1.3, 0.75, -2.0, 0.5, 2.5, -1.5, -0.9, 0.6)]
+    for k in range(11):
+        for m0 in range(0, 1024, 1 << k):
+            masks = range(m0, m0 + (1 << k))
+            want = [fn(core.project(x, m)) for x in anchors for m in masks]
+            with np.errstate(all="ignore"):
+                got = fn._evaluate_block(np.array(anchors), (0.0,) * 10, np.array(masks))
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_an_aligned_block_makes_no_scalar_evaluations(monkeypatch):
+    # in the run 512..1023, x10 is fixed by bit 9 of 512: with one point, ^,
+    # exp and ln get operands of shape (1, ..., 1), alone and beside one
+    # that varies
+    fn = expr.ExpressionFunction(
+        "x1*x2^3 - x10^2 + exp(x10/4)*x3 + ln(2 + x9^2)*2^x4 + (2 + x1^2)^x10 + x5*x6*x7*x8", 10)
+    x = (1.5, -0.7, 2.25, -3.0, 0.5, 1.25, -2.0, 0.75, 1.1, -1.3)
+    runs = (range(1024), range(512, 1024))
+    wants = [np.array([fn(core.project(x, m)) for m in masks]) for masks in runs]
+    calls = []
+    monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
+                        lambda self, y: calls.append(y) or math.nan)
+    for masks, want in zip(runs, wants):
+        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+    assert calls == []
+
+
 _MAPS = (expr.ScaleMap(-1.5), expr.ScaleMap(2.0), expr.OddPowerMap(3.0), expr.OddPowerMap(0.5),
          expr.PiecewiseLinearMap([(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5), (2.0, 3.0)]))
 
@@ -607,7 +691,7 @@ def test_batched_long_block_keeps_signed_zeros_apart():
     for text, x in (("x1^3", (-0.0,)), ("max(-x1, 0)^3", (2.0,))):
         fn = expr.ExpressionFunction(text, 1)
         masks = [0, 1] * expr.MASK_BLOCK
-        want = np.array([fn(core.project(x, m)) for m in masks])
+        want = np.tile([fn(core.project(x, m)) for m in (0, 1)], expr.MASK_BLOCK)
         assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
 
 
