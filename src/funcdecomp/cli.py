@@ -23,6 +23,7 @@ import numpy as np
 from . import axioms, decomp, demo, montecarlo
 from .core import (
     EXACT_SUBSET_CAP,
+    MASK_DIMENSION_CAP,
     DimensionMismatchError,
     NonFiniteCoordinateError,
     NonzeroOriginError,
@@ -554,7 +555,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TABLE
     except NonzeroOriginError as exc:
-        hint = "hint: use --method delta-star\n" if args.command == "decompose" else ""
+        hint = ""
+        if args.command == "decompose" and args.dimension <= MASK_DIMENSION_CAP:
+            # a method that splits F(0) at this d: delta-star, or auto's sampled one
+            method = "delta-star" if args.dimension <= EXACT_SUBSET_CAP else "auto"
+            hint = f"hint: use --method {method}\n"
         sys.stderr.write(f"error: {exc}\n{hint}")
         return EXIT_ORIGIN
     except (DimensionMismatchError, NonFiniteCoordinateError, EvaluationError,

@@ -2,10 +2,11 @@
 dimensions where enumerating all d! activation orders is infeasible.
 
 Activation orders are drawn uniformly from counter-based random streams:
-sample chunk ``c`` of a run with seed ``s`` always uses the stream
-``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.  Chunks
-run one after another in one thread; ``workers`` is accepted for
-compatibility and changes neither the result nor the speed.
+the orders of sample chunk ``c`` of a run with seed ``s`` always come from the
+stream ``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.
+Chunks only key the streams: F is evaluated once at every distinct prefix
+mask of all the drawn orders.  Everything runs in one thread; ``workers`` is
+accepted for compatibility and changes neither the result nor the speed.
 """
 
 from __future__ import annotations
@@ -49,49 +50,40 @@ class EstimatorReport:
         return math.fsum(self.estimate)
 
 
-def _chunk_contributions(fn: FunctionHandle, x: Point, base: float,
-                         memo: dict[int, float], seed: int, chunk_index: int,
-                         size: int) -> np.ndarray:
-    """Per-sample contribution matrix (size x d) for one chunk.
-
-    Prefix masks not yet in ``memo`` are evaluated in one ``evaluate_masks``
-    call (ascending, as ``np.unique`` returns them) and added to it.
-    """
-    d = fn.d
-    rng = seeded_rng(seed, chunk_index)
-    perms = rng.permuted(np.tile(np.arange(d), (size, 1)), axis=1)
-    prefix = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
-    masks, where = np.unique(prefix, return_inverse=True)
-    masks = masks.tolist()
-    fresh = [m for m in masks if m not in memo]
-    memo.update(zip(fresh, fn.evaluate_masks(x, fresh).tolist()))
-    at_step = np.array([memo[m] for m in masks])[where.reshape(prefix.shape)]
-    before = np.concatenate([np.full((size, 1), base), at_step[:, :-1]], axis=1)
-    out = np.empty((size, d))
-    np.put_along_axis(out, perms, at_step - before, axis=1)
-    return out
-
-
 def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over ``n`` sampled orders of the per-step
-    changes of F, starting from ``base`` at the origin."""
+    changes of F, starting from ``base`` at the origin.
+
+    F is evaluated once at each distinct prefix mask, by the chunk that first
+    reaches it and ascending within that chunk (so the first failing mask is
+    a chunk-by-chunk walk's), at most one chunk's worth of masks per call.
+    """
     d = fn.d
     if d == 1:
         # Only one activation order exists: the estimate is exact.
         return np.array([fn(point) - base]), np.zeros(1)
-    memo: dict[int, float] = {}
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    samples = np.vstack([_chunk_contributions(fn, point, base, memo, seed, c, size)
-                         for c, size in enumerate(sizes)])
+    perms = np.vstack([seeded_rng(seed, c).permuted(
+        np.tile(np.arange(d), (min(_CHUNK, n - start), 1)), axis=1)
+        for c, start in enumerate(range(0, n, _CHUNK))])
+    prefix = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
+    masks, first, where = np.unique(prefix, return_index=True, return_inverse=True)
+    order = np.lexsort((masks, first // (_CHUNK * d)))
+    values = np.empty(len(masks))
+    for start in range(0, len(order), _CHUNK * d):
+        picked = order[start:start + _CHUNK * d]
+        values[picked] = fn.evaluate_masks(point, masks[picked].tolist())
+    at_step = values[where.reshape(prefix.shape)]  # the inverse's shape varies by NumPy version
+    samples = np.empty((n, d))
+    np.put_along_axis(samples, perms, np.diff(at_step, axis=1, prepend=base), axis=1)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def _validate(fn: FunctionHandle, x: Sequence[float], n: int, workers: int) -> Point:
     point = as_point(x, fn.d)
     validate_dimension(fn.d, MASK_DIMENSION_CAP)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the sample count n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n}")
     if workers < 1:

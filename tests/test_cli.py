@@ -184,6 +184,27 @@ def test_exit_code_4_when_the_origin_fails_before_a_later_point(capsys):
     assert "delta-star" in err
 
 
+@pytest.mark.parametrize("d, hint", [(20, "hint: use --method delta-star\n"),
+                                     (30, "hint: use --method auto\n"),
+                                     (63, "hint: use --method auto\n"),
+                                     (70, "")])
+def test_origin_hint_names_a_method_that_runs_at_the_dimension(capsys, d, hint):
+    point = ",".join(["1"] * d)
+    for method in ("mc", "sequential"):
+        code, out, err = run(capsys, "decompose", "-d", str(d), "-f", "x1 + 1", "-x", point,
+                             "--method", method, "--samples", "10")
+        if method == "mc" and d > 63:
+            assert code == 2 and "exceeds the cap 63" in err
+            continue
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 + bool(hint) and err.endswith("evenly\n" + hint)
+    if hint:
+        suggested = hint.split()[-1]
+        code, _, _ = run(capsys, "decompose", "-d", str(d), "-f", "x1 + 1", "-x", point,
+                         "--method", suggested, "--samples", "10")
+        assert code == 0
+
+
 def test_residual_tolerance_controls_exit(capsys):
     # large scale makes the additivity residual measurably non-zero
     args = ("decompose", "-d", "3", "-f", "1e10*(exp(x1)-1) + x2*x3 + 1e-7*x1*x3",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -117,3 +118,118 @@ def test_delta_star_estimate_splits_the_origin_value():
     centred = ExpressionFunction("x1*x2 + 0.5*x2*x3 - x1*x3", 3)
     assert (montecarlo.estimate_delta_star(centred, x, n=500, seed=4)
             == montecarlo.estimate_as(centred, x, n=500, seed=4))
+
+
+def test_sample_count_must_be_an_integer():
+    for estimator in (montecarlo.estimate_as, montecarlo.estimate_delta_star):
+        for n in (100.0, True, "100", None):
+            with pytest.raises(ValueError, match=r"sample count n must be an integer"):
+                estimator(PRODUCT, (1.0, 1.0), n=n, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reports, first errors and evaluation counts pinned to recorded values: a
+# change to the sampler's bits, evaluation order or evaluation count shows here.
+
+
+def _golden_function(d, shift):
+    return ExpressionFunction(
+        f"x1*x2*x{d} - 0.5*x{(d + 1) // 2}^2 + exp(x2) - 1"
+        f" + 0.3*x{d // 3 + 1}*x{d - 1}*x{2 * d // 3} + {shift}", d)
+
+
+def _golden_point(d):
+    return tuple(((7 * i) % 11 - 5) / 4 for i in range(1, d + 1))
+
+
+def test_reports_match_recorded_bits():
+    digest = hashlib.sha256()
+    for d in (2, 40, 63):
+        for n in (3, 257, 2000):
+            for seed in (0, -1, 7):
+                x = _golden_point(d)
+                for name, report in (
+                        ("as", montecarlo.estimate_as(_golden_function(d, 0), x, n, seed)),
+                        ("ds", montecarlo.estimate_delta_star(_golden_function(d, 1.25), x,
+                                                              n, seed))):
+                    values = " ".join(v.hex() for v in report.estimate + report.standard_error)
+                    digest.update(f"{name} {d} {n} {seed} {report.n_samples} {report.seed} "
+                                  f"{values}\n".encode())
+    assert digest.hexdigest() == (
+        "a780c6a49ef6e0671ef6355ea458c232df3b2f9c11cc3d151bb1c2cd5ae19a21")
+    small = montecarlo.estimate_as(_golden_function(2, 0), _golden_point(2), n=3, seed=-1)
+    assert small == montecarlo.EstimatorReport(
+        (-0.08749999999999998, -0.2684693402873666), (9.813077866773593e-18, 0.0), 3, -1)
+
+
+def _mask_of(x):
+    return sum(1 << j for j, v in enumerate(x) if v != 0.0)
+
+
+def _refusing(x):
+    # 13 of the 4096 masks of d = 12 fail; 1000 orders first reach them in different chunks
+    mask = _mask_of(x)
+    if bin(mask).count("1") == 6 and mask % 97 == 0:
+        raise ValueError(f"refused at mask {mask}")
+    return float(mask)
+
+
+@pytest.mark.parametrize("seed, mask", [(0, 679), (1, 873), (2, 1358), (3, 485),
+                                        (4, 3395), (6, 970), (10, 970), (11, 3492)])
+def test_first_error_is_the_first_failing_mask_in_chunk_order(seed, mask):
+    fn = NativeFunction(_refusing, 12, label="refusing")
+    with pytest.raises(ValueError, match=f"^refused at mask {mask}$"):
+        montecarlo.estimate_as(fn, (1.0,) * 12, n=1000, seed=seed)
+
+
+def test_one_evaluation_at_the_origin_and_at_each_distinct_prefix():
+    calls = []
+
+    def counted(x):
+        calls.append(_mask_of(x))
+        return float(calls[-1] % 5)
+
+    fn = NativeFunction(counted, 12, label="counted")
+    montecarlo.estimate_delta_star(fn, (1.0,) * 12, n=1000, seed=3)
+    assert len(calls) == len(set(calls)) == 3218
+
+
+# ---------------------------------------------------------------------------
+# Above the exact cap: a product monomial c * prod_{i in T} x_i induces a
+# unanimity game, whose Shapley value gives each i in T the term's value over
+# |T| and every other coordinate nothing.  A sum of such terms on disjoint
+# supports adds those values.
+
+UNANIMITY = {
+    40: {(1, 2): 2.0, (5, 9, 13): -1.5, (20, 30, 33, 40): 0.75, (38, 39): 1.25},
+    63: {(1, 63): 1.5, (10, 20, 30, 40, 50): -0.5, (7, 62): 2.0, (33, 34, 35): 0.25},
+}
+
+
+def _unanimity_sum(d, origin_value):
+    terms = UNANIMITY[d]
+    supports = [i for support in terms for i in support]
+    assert len(supports) == len(set(supports))  # disjoint, no repeated variable
+    text = " + ".join(f"{c}*" + "*".join(f"x{i}" for i in support)
+                      for support, c in terms.items())
+    x = tuple((-1) ** i * (1 + (i % 4) / 4) for i in range(1, d + 1))
+    shares = [0.0] * d
+    for support, c in terms.items():
+        for i in support:
+            shares[i - 1] = c * math.prod(x[j - 1] for j in support) / len(support)
+    return ExpressionFunction(f"{text} + {origin_value}", d), x, shares
+
+
+@pytest.mark.parametrize("d", [40, 63])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_estimates_match_unanimity_closed_forms(d, seed):
+    for estimator, origin_value in ((montecarlo.estimate_as, 0.0),
+                                    (montecarlo.estimate_delta_star, 2.5)):
+        fn, x, shares = _unanimity_sum(d, origin_value)
+        report = estimator(fn, x, n=2000, seed=seed)
+        offset = origin_value / d
+        for est, se, share in zip(report.estimate, report.standard_error, shares):
+            if share == 0.0:
+                assert (est, se) == (offset, 0.0)
+            else:
+                assert se > 0.0 and abs(est - (share + offset)) <= 4.0 * se
