@@ -10,12 +10,12 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 
 Every handle evaluates a function on the projected points of many anchors
 through ``evaluate_table`` (``evaluate_masks`` is its one-anchor case),
-which runs the handle's block path over blocks of points and re-runs any
-point a block rejects through the scalar path.
-Expressions, and compositions of expressions, evaluate a block with numpy;
-Python callables and lookup tables go one point at a time.  An expression
-is flattened once into a post-order program over one operation table, and
-its scalar and batched paths both run that program.
+whose blocks never raise: a block leaves NaN wherever the scalar path
+must decide, and the scalar path then runs at those points, in order.
+Expressions, and compositions of expressions, evaluate a block with numpy
+over one layout; Python callables and lookup tables have no block path.
+An expression is flattened once into a post-order program over one
+operation table, and its scalar and batched paths both run that program.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ from .core import (
 # whatever the number of masks.
 MASK_BLOCK = 1 << 16
 # Operands of up to this many values call ^, exp and ln once per value
-# instead of once per distinct value (see _per_operand).  Runs of up to this
-# many masks, such as the 16-mask rows of a d = 4 axiom check, are gathered,
-# not laid out as a cube (see ExpressionFunction._evaluate_block): as cubes
-# they gain nothing.  On a 2-core x86-64 box, ten alternating pairs of
-# perfbench's axioms-d4 read op_s_p50 2.0% above the code with 4096-mask
-# gathered blocks with these rows as cubes (higher in 7 of 10), and 0.3%
-# below it with them gathered; the two layouts compared head to head
-# differed by 0.1% (5 of 10).
+# instead of once per distinct value (see _per_operand).  A block of one
+# aligned run of up to this many masks, such as a 16-mask row of a d = 4
+# axiom check, is gathered (k = 0 in ExpressionFunction._evaluate_block),
+# not a cube (one run, an axis per mask bit): as a cube it gains nothing.
+# On a 2-core x86-64 box, ten alternating pairs of perfbench's axioms-d4
+# read op_s_p50 2.0% above the code with 4096-mask gathered blocks with
+# these rows as cubes (higher in 7 of 10), and 0.3% below it with them
+# gathered; the two layouts compared head to head differed by 0.1% (5 of 10).
 _SHORT = 64
 
 
@@ -303,26 +303,26 @@ def _per_operand(scalar: Callable[..., float], ok: np.ndarray, *operands):
     more than it saves.
     """
     varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
-    if not varying:
-        try:
-            return scalar(*map(_one, operands))
-        except EvaluationError:
-            ok[:] = False
-            return math.nan
     if len(varying) > 1:
         operands = np.broadcast_arrays(*operands)
-    # the result takes the varying operands' shape: size-1 operands
-    # broadcast against any shape, so dropping their leading axes changes
-    # no value
-    shape = operands[varying[0]].shape
+    # the result takes the varying operands' shape, or () if none varies:
+    # size-1 operands broadcast against any shape, so dropping their
+    # leading axes changes no value
+    shape = operands[varying[0]].shape if varying else ()
     columns = [a.ravel() if i in varying else a for i, a in enumerate(operands)]
     key = None
     if len(varying) == 1 and len(columns[varying[0]]) > _SHORT:
         i = varying[0]
         columns[i], key = _distinct(columns[i])
-    n = len(columns[varying[0]])
-    columns = [a.tolist() if i in varying else [_one(a)] * n for i, a in enumerate(columns)]
-    values = np.array(_calls(scalar, zip(*columns)), dtype=float)
+    n = len(columns[varying[0]]) if varying else 1
+    values = []
+    for args in zip(*[a.tolist() if i in varying else [_one(a)] * n
+                      for i, a in enumerate(columns)]):
+        try:
+            values.append(scalar(*args))
+        except EvaluationError:
+            values.append(math.nan)
+    values = np.array(values, dtype=float)
     return _finite((values if key is None else values[key]).reshape(shape), ok)
 
 
@@ -330,16 +330,6 @@ def _one(operand) -> float:
     """The value of an operand of one value, such as a cube's (1, ..., 1)
     column; float() of an array with ndim > 0 is deprecated."""
     return operand.item() if isinstance(operand, np.ndarray) else float(operand)
-
-
-def _calls(scalar: Callable[..., float], rows: Iterable[tuple]) -> list[float]:
-    out = []
-    for args in rows:
-        try:
-            out.append(scalar(*args))
-        except EvaluationError:
-            out.append(math.nan)
-    return out
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,13 +466,27 @@ def format_expression(node: Node) -> str:
 # Function handles
 
 
+def _valid_prefix(points: Iterable[Sequence[float]],
+                  d: int) -> tuple[list[Point], Exception | None]:
+    """The points, as points of dimension ``d``, up to the first that is
+    not one, and that one's error (None if every point is valid)."""
+    anchors = []
+    for x in points:
+        try:
+            anchors.append(as_point(x, d))
+        except (TypeError, ValueError) as exc:
+            return anchors, exc
+    return anchors, None
+
+
 class FunctionHandle:
     """Evaluatable representation of a function of ``d`` real arguments.
 
     A handle has a scalar path, ``_evaluate`` at one point, and a block
-    path, ``_evaluate_block``; ``evaluate_table`` drives the block path and
-    falls back to the scalar one.  Handles are immutable after construction
-    and evaluation is pure, so they may be shared and called concurrently.
+    path, ``_evaluate_block``, which never raises; ``evaluate_table`` runs
+    the scalar path where a block leaves NaN.  Handles are immutable after
+    construction and evaluation is pure, so they may be shared and called
+    concurrently.
     """
 
     d: int
@@ -505,22 +509,13 @@ class FunctionHandle:
         coordinate j equal to ``a[j]`` where bit j of ``m`` is set and
         ``off[j]`` elsewhere.
 
-        A value the block leaves finite equals the scalar path's bit for
-        bit; a point the scalar path may reject is left NaN or makes the
-        block raise.  This implementation calls the scalar path once per
-        point and stops at the first point that raises, leaving it and the
-        rest NaN, so no point is called after the one whose error the
-        re-run in ``evaluate_table`` raises.
+        A block must not raise.  A value it leaves finite equals the scalar
+        path's bit for bit, and it leaves NaN at every point the scalar path
+        must decide (where it raises, or may), which ``evaluate_table`` then
+        evaluates one by one.  This one leaves every point to the scalar
+        path, so a Python callable or a table is called once per point.
         """
-        values = np.full(len(anchors) * len(masks), math.nan)
-        points = ((a, m) for a in anchors.tolist() for m in masks.tolist())
-        for r, (on, m) in enumerate(points):
-            try:
-                values[r] = self(tuple(a if m >> j & 1 else b
-                                       for j, (a, b) in enumerate(zip(on, off))))
-            except Exception:  # of any kind: the scalar re-run raises it again
-                break
-        return values
+        return np.full(len(anchors) * len(masks), math.nan)
 
     def evaluate_table(self, points: Iterable[Sequence[float]],
                        masks: Iterable[int]) -> np.ndarray:
@@ -530,21 +525,14 @@ class FunctionHandle:
         The (point, mask) pairs are evaluated point by point, in blocks of
         at most ``MASK_BLOCK`` pairs: whole rows of several points, or a
         run of one point's masks.  Every value equals the scalar path's bit
-        for bit.  Points a block leaves non-finite, and every point of a
-        block that raises, are re-evaluated one by one through the scalar
-        path in that order, so the first failing (point, mask) and its
-        error are the scalar path's too.  A point that is not a valid
-        point of the function raises only after every point before it was
-        evaluated.  A value does not depend on the block it lands in.
+        for bit.  Points a block leaves non-finite then go through the
+        scalar path one by one, in order, in the only loop that calls it:
+        the first failing (point, mask) and its error are the scalar
+        path's, and no later point is evaluated.  A point that is not a
+        valid point of the function raises only after every point before
+        it was evaluated.  A value does not depend on the block it lands in.
         """
-        anchors: list[Point] = []
-        invalid = None
-        for x in points:
-            try:
-                anchors.append(as_point(x, self.d))
-            except (TypeError, ValueError) as exc:
-                invalid = exc
-                break
+        anchors, invalid = _valid_prefix(points, self.d)
         if invalid is not None and not anchors:
             raise invalid
         masks = validate_masks(masks, self.d)
@@ -558,13 +546,9 @@ class FunctionHandle:
                 for m0 in range(0, len(masks), width):
                     block = masks[m0:m0 + width]
                     values = table[a0:a0 + rows, m0:m0 + width]
-                    try:
-                        values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
-                                                         block).reshape(values.shape)
-                        rerun = np.argwhere(~np.isfinite(values)).tolist()
-                    except Exception:  # of any kind: the scalar path re-raises the first one
-                        rerun = np.ndindex(values.shape)
-                    for a, m in rerun:
+                    values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
+                                                     block).reshape(values.shape)
+                    for a, m in np.argwhere(~np.isfinite(values)).tolist():
                         values[a, m] = self(project(anchors[a0 + a], int(block[m])))
         if invalid is not None:
             raise invalid
@@ -595,31 +579,28 @@ class ExpressionFunction(FunctionHandle):
         points whose scalar evaluation raises or passes through a
         non-finite value are left NaN.
 
-        An aligned run of more than ``_SHORT`` masks, ``m0 .. m0 + 2^k - 1``
-        with ``m0`` a multiple of ``2^k``, is laid out as a cube of shape
-        ``(anchors, 2, ..., 2)`` whose C-order flattening is mask order:
-        variable ``j < k`` takes ``[off_j, a_j]`` on the axis of bit j (bit
-        0 last), and variable ``j >= k`` the one value bit j of ``m0``
-        picks.  Broadcasting then evaluates each subtree only at the points
-        its own variables take.  Other blocks gather one column entry per
-        point.
+        The block has shape ``(anchors, runs, 2, ..., 2)``, whose C-order
+        flattening is mask order: ``runs`` aligned runs ``m0 .. m0 + 2^k -
+        1``, with heads ``m0 = masks[::2^k]`` multiples of ``2^k``.
+        Variable ``j < k`` takes ``[off_j, a_j]`` on the axis of bit j (bit
+        0 last), and variable ``j >= k`` the value bit j of its run's head
+        picks, so broadcasting evaluates each subtree only at the points
+        its own variables take.  ``k`` is 0, one column entry per point,
+        unless the block is one aligned run of more than ``_SHORT`` masks.
         """
         n, k = len(masks), len(masks).bit_length() - 1
+        if not (n > _SHORT and n == 1 << k and masks[0] % n == 0
+                and (np.diff(masks) == 1).all()):
+            k = 0
+        heads = masks[::1 << k]
+        shape = (len(anchors), len(heads)) + (2,) * k
         cols: list = [None] * self.d
-        if n > _SHORT and n == 1 << k and masks[0] % n == 0 and (np.diff(masks) == 1).all():
-            m0 = int(masks[0])
-            shape = (len(anchors),) + (2,) * k
-            for j in self._variables:
-                if j < k:
-                    column = np.column_stack([np.full(len(anchors), off[j]), anchors[:, j]])
-                    cols[j] = column.reshape((-1,) + (1,) * (k - 1 - j) + (2,) + (1,) * j)
-                else:
-                    column = anchors[:, j] if m0 >> j & 1 else np.full(len(anchors), off[j])
-                    cols[j] = column.reshape((-1,) + (1,) * k)
-        else:
-            shape = (len(anchors) * n,)
-            for j in self._variables:
-                cols[j] = np.where(masks >> j & 1, anchors[:, j, None], off[j]).reshape(-1)
+        for j in self._variables:
+            if j < k:  # bit j varies along its own axis
+                bit = np.array([0, 1]).reshape((1, 1) + (1,) * (k - 1 - j) + (2,) + (1,) * j)
+            else:  # bit j is the run head's
+                bit = (heads >> j & 1).reshape((1, -1) + (1,) * k)
+            cols[j] = np.where(bit, anchors[:, j].reshape((-1,) + (1,) * (k + 1)), off[j])
         ok = np.ones(shape, dtype=bool)
         values = _run_block(self._program, cols, ok)
         if isinstance(values, np.ndarray) and values.shape == shape and ok.all():
@@ -675,7 +656,7 @@ class TableFunction(FunctionHandle):
 # ---------------------------------------------------------------------------
 # Compositions (lazy wrappers; no symbolic simplification).  Each block
 # rewrites the block's points as points of the inner function and runs the
-# inner block, so a composition of expressions evaluates with numpy.
+# inner block, NaN and all, so a composition of expressions uses numpy.
 
 
 class _Relabeled(FunctionHandle):
@@ -707,10 +688,13 @@ class _Reparameterized(FunctionHandle):
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         # each anchor is mapped once, not once per mask; off becomes h(off),
-        # not 0.0: a map may send 0.0 to -0.0; as_point rejects a non-finite
-        # image as the scalar path does
-        mapped = np.array([as_point(self._mapped(a)) for a in anchors.tolist()])
-        return self.fn._evaluate_block(mapped, as_point(self._mapped(off)), masks)
+        # not 0.0: a map may send 0.0 to -0.0
+        try:
+            mapped = np.array([as_point(self._mapped(a)) for a in anchors.tolist()])
+            mapped_off = as_point(self._mapped(off))
+        except Exception:  # of any kind, from a map: the scalar re-run raises it in order
+            return np.full(len(anchors) * len(masks), math.nan)
+        return self.fn._evaluate_block(mapped, mapped_off, masks)
 
 
 class _LinearCombination(FunctionHandle):
@@ -719,11 +703,20 @@ class _LinearCombination(FunctionHandle):
         self.label = " + ".join(f"{a}*{fn.label}" for a, fn in terms)
 
     def _evaluate(self, x: Point) -> float:
-        return math.fsum(a * fn(x) for a, fn in self.terms)
+        return _fsum([a * fn(x) for a, fn in self.terms])
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         blocks = [a * fn._evaluate_block(anchors, off, masks) for a, fn in self.terms]
-        return np.array([math.fsum(row) for row in np.column_stack(blocks).tolist()], dtype=float)
+        return np.array([_fsum(row) for row in np.column_stack(blocks).tolist()], dtype=float)
+
+
+def _fsum(values: list[float]) -> float:
+    """``math.fsum``, or NaN where it raises (an intermediate overflow, or
+    ``inf`` and ``-inf`` together): a sum that is not finite."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def compose_permutation(fn: FunctionHandle, perm: Permutation) -> FunctionHandle:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -433,6 +434,14 @@ def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
     assert err == f"error: {message}\n"
 
 
+def test_axioms_exits_2_when_a_sum_of_functions_overflows(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"d": 2, "n_points": 3, "families": [
+        {"family": "constant", "count": 2, "params": {"c": 1.7e308}}]}))
+    assert run(capsys, "axioms", str(path)) == (
+        2, "", "error: 1.0*1.7e+308 + 1.0*1.7e+308 is not finite at (0.0, 0.0): nan\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--functions", "0"), "n_functions must be at least 1, got 0"),
     (("--functions", "-1"), "n_functions must be at least 1, got -1"),
@@ -563,3 +572,32 @@ def test_python_m_funcdecomp_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: funcdecomp")
+
+
+def test_fixed_runs_match_recorded_output(capsys, tmp_path):
+    # exit code, stdout and stderr of fixed runs, hashed: a change to any printed bit shows here
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2,x3\n1,2,3\n-0.5,0.25,2\n0,1.5,-1\n")
+    game = write_game(tmp_path, {"d": 3, "values": {
+        "1": 1, "2": 2, "3": -1, "1,2": 4, "1,3": 0.5, "2,3": 3, "1,2,3": 7.25}})
+    d16 = " + ".join(f"x{i}*x{i % 16 + 1}^2" for i in range(1, 17)) + " + exp(x3*x9) - 1"
+    runs = [("decompose", "-d", "3", "-f", f, "-x", "1.5,-2,0.75", "--method", method)
+            for f in ("x1*x2 + exp(x3) - 1 + x1^2*x3/(1 + x2^2)", "(x1+2)*(x2+3)*(x3+1)")
+            for method in ("auto", "sequential", "as", "delta-star", "pointwise", "mc")]
+    runs += [
+        ("decompose", "-d", "16", "-f", d16, "--method", "delta-star",
+         "--point=" + ",".join(str((7 * i) % 11 / 4 - 1) for i in range(16))),
+        ("decompose", "-d", "3", "-f", "x1*x2*x3 + ln(1 + x1^2) + max(x2, x3)",
+         "--points-csv", str(points), "--format", "json"),
+        ("shapley", game),
+        ("example1",), ("example2",), ("example3",),
+    ]
+    runs += [("axioms", "--principle", principle, "-d", "3", "--functions", "4",
+              "--points", "5", "--perms", "2", "--seed", "11")
+             for principle in ("as-subset", "delta-star", "first-coordinate", "sequential")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == (
+        "0efac99d233522e1843784f3c1f5bdc8e15d10544fc4b0095a1e0280a10d9e60")

@@ -543,8 +543,9 @@ def test_composition_errors_come_from_the_first_failing_mask():
         (expr.linear_combine([(1.0, expr.NativeFunction(at_mask_2, 2)), (1.0, off2)]),
          (2.0, 3.0), [3, 1, 2], "division by zero"),
         (expr.compose_permutation(off2, (1, 0)), (3.0, 2.0), [3, 2, 1], "division by zero"),
+        # fsum overflows: the sum is not finite
         (expr.linear_combine([(1e308, big_off2), (1e308, big_off2)]), (1.0, -0.8), [3, 1, 0],
-         "intermediate overflow in fsum"),
+         "is not finite at (1.0, 0.0): nan"),
         (expr.compose_coordinate_maps(total, [expr.OddPowerMap(400.0), expr.ScaleMap(1.0)]),
          (10.0, 1.0), [2, 1, 3], "Numerical result out of range"),
         # min(inf, 5) is finite: the mapped coordinate itself must be rejected
@@ -571,17 +572,53 @@ def test_scalar_handles_call_each_point_once_up_to_the_first_error():
     x = (1.0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError, match="mask 5"):
         native.evaluate_masks(x, range(16))
-    # masks 0-4 once, mask 5 in the block and again in the re-run, none after
-    assert calls == [core.project(x, m) for m in (0, 1, 2, 3, 4, 5, 5)]
+    # masks 0-5 once each, none after
+    assert calls == [core.project(x, m) for m in range(6)]
 
-    # in a linear combination the failing term sends no other row of the
-    # block back to the scalar path
+    # as a term of a linear combination, too: the native term has no block
+    # path, so every row runs through the combination's scalar path, once
     calls.clear()
     other = expr.ExpressionFunction("x2 * x4", 4)
     combined = expr.linear_combine([(1.0, native), (2.0, other)])
     with pytest.raises(ValueError, match="mask 5"):
         combined.evaluate_masks(x, range(16))
-    assert calls == [core.project(x, m) for m in (0, 1, 2, 3, 4, 5, 5)]
+    assert calls == [core.project(x, m) for m in range(6)]
+
+
+def test_a_sum_that_overflows_is_an_evaluation_error():
+    big = expr.ExpressionFunction("1.7e308", 2)
+    fn = expr.linear_combine([(1.0, big), (1.0, big)])
+    with pytest.raises(expr.EvaluationError, match=r"is not finite at \(1\.0, 2\.0\): nan"):
+        fn((1.0, 2.0))
+    for evaluate in (lambda: fn.evaluate_masks((1.0, 2.0), range(4)),
+                     lambda: decomp.delta_star(fn, (1.0, 2.0))):
+        with pytest.raises(expr.EvaluationError, match=r"is not finite at \(0\.0, 0\.0\): nan"):
+            evaluate()
+
+
+def test_a_raising_block_is_not_masked(monkeypatch):
+    def broken(self, anchors, off, masks):
+        raise RuntimeError("broken block")
+
+    monkeypatch.setattr(expr.ExpressionFunction, "_evaluate_block", broken)
+    f = expr.ExpressionFunction("x1 * x2", 2)
+    for fn in (f, expr.compose_permutation(f, (1, 0)), expr.linear_combine([(2.0, f)])):
+        with pytest.raises(RuntimeError, match="broken block"):
+            fn.evaluate_masks((1.0, 2.0), range(4))
+
+
+def test_only_the_failing_row_is_run_through_the_scalar_path(monkeypatch):
+    # both terms are finite everywhere; their sum overflows fsum at mask 1 only
+    f = expr.ExpressionFunction("0.5 + x1", 2)
+    g = expr.ExpressionFunction("0.5 + x1*x1", 2)
+    fn = expr.linear_combine([(1e308, f), (1e308, g)])
+    calls = []
+    monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
+                        lambda self, y, scalar=expr.ExpressionFunction._evaluate:
+                        calls.append(y) or scalar(self, y))
+    with pytest.raises(expr.EvaluationError, match=r"is not finite at \(1\.0, 0\.0\): nan"):
+        fn.evaluate_masks((1.0, 3.0), [0, 2, 1])
+    assert calls == [(1.0, 0.0), (1.0, 0.0)]  # one call per term, at mask 1
 
 
 def test_compositions_of_expressions_make_no_scalar_evaluations(monkeypatch):
@@ -650,13 +687,12 @@ def test_evaluate_table_raises_the_first_error_in_point_order():
     # a bad first point is reported before bad masks, as for one point
     with pytest.raises(core.NonFiniteCoordinateError):
         fn.evaluate_table([(math.nan, 1.0)], [9])
-    # a native function is not called past the point that raises
+    # a native function is called once per point, up to the one that raises
     calls = []
     native = expr.NativeFunction(lambda y: calls.append(y) or fn(y), 2)
     with pytest.raises(expr.EvaluationError):
         native.evaluate_table([(1.0, 2.0), (-2.0, 1.0), (3.0, 1.0)], range(4))
-    assert calls[-1] == calls[-2] == (-2.0, 0.0)
-    assert (3.0, 0.0) not in calls
+    assert calls == [core.project((1.0, 2.0), m) for m in range(4)] + [(0.0, 0.0), (-2.0, 0.0)]
 
 
 def test_batched_rounding_near_zero_follows_the_scalar_path():
