@@ -10,12 +10,12 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 
 Every handle evaluates a function on the projected points of many anchors
 through ``evaluate_table`` (``evaluate_masks`` is its one-anchor case),
-whose blocks never raise: a block leaves NaN wherever the scalar path
-must decide, and the scalar path then runs at those points, in order.
-Expressions, and compositions of expressions, evaluate a block with numpy
-over one layout; Python callables and lookup tables have no block path.
-An expression is flattened once into a post-order program over one
-operation table, and its scalar and batched paths both run that program.
+whose blocks never raise: a block leaves a non-finite value wherever the
+scalar path must decide, and the scalar path then runs there, in order.
+Expressions and their compositions evaluate a block with numpy, and an
+expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
+Callables and tables have no block path.  An expression is flattened
+once into a post-order program over one operation table, run by both paths.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (
     inverse_permutation,
     permute,
     permute_mask,
-    project,
     validate_dimension,
     validate_masks,
     validate_permutation,
@@ -285,16 +284,11 @@ def _log(t: float) -> float:
     return math.log(t)
 
 
-def _finite(v, ok: np.ndarray):
-    ok &= np.isfinite(v)
-    return v
-
-
-def _per_operand(scalar: Callable[..., float], ok: np.ndarray, *operands):
-    """``scalar`` applied to each point's operands; points where it raises
-    get NaN and are cleared in ``ok``.  The operands may be of any shapes
-    that broadcast together, and the result is of their broadcast shape,
-    up to leading axes of length 1.
+def _per_operand(scalar: Callable[..., float], *operands):
+    """``scalar`` applied to each point's operands, NaN where it raises, and
+    flags clear there (``True`` if it never does).  The operands may be of
+    any shapes that broadcast together, and the result is of their
+    broadcast shape, up to leading axes of length 1.
 
     With one varying operand of more than ``_SHORT`` values it is called
     once per distinct value: projected points share few (a variable's
@@ -309,27 +303,23 @@ def _per_operand(scalar: Callable[..., float], ok: np.ndarray, *operands):
     # size-1 operands broadcast against any shape, so dropping their
     # leading axes changes no value
     shape = operands[varying[0]].shape if varying else ()
-    columns = [a.ravel() if i in varying else a for i, a in enumerate(operands)]
-    key = None
+    columns = [np.ravel(a) for a in operands]  # one value in a size-1 operand
+    key = slice(None)
     if len(varying) == 1 and len(columns[varying[0]]) > _SHORT:
-        i = varying[0]
-        columns[i], key = _distinct(columns[i])
+        columns[varying[0]], key = _distinct(columns[varying[0]])
     n = len(columns[varying[0]]) if varying else 1
-    values = []
-    for args in zip(*[a.tolist() if i in varying else [_one(a)] * n
-                      for i, a in enumerate(columns)]):
+    values, failed = [], []
+    for args in zip(*[c.tolist() if i in varying else c.tolist() * n
+                      for i, c in enumerate(columns)]):
         try:
             values.append(scalar(*args))
         except EvaluationError:
+            failed.append(len(values))
             values.append(math.nan)
-    values = np.array(values, dtype=float)
-    return _finite((values if key is None else values[key]).reshape(shape), ok)
-
-
-def _one(operand) -> float:
-    """The value of an operand of one value, such as a cube's (1, ..., 1)
-    column; float() of an array with ndim > 0 is deprecated."""
-    return operand.item() if isinstance(operand, np.ndarray) else float(operand)
+    values = np.array(values, dtype=float)[key].reshape(shape)
+    if not failed:
+        return values, True
+    return values, np.isin(np.arange(n), failed, invert=True)[key].reshape(shape)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,9 +334,14 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), index
 
 
-def _divide_batched(ok: np.ndarray, a, b):
-    ok &= b != 0.0
-    return _finite(np.divide(a, b), ok)
+def _divide_batched(a, b):
+    zero = np.equal(b, 0.0)
+    return np.divide(a, b), ~zero if zero.any() else True
+
+
+def _total(batched: Callable[..., "np.ndarray | float"]):
+    """A batched operation whose scalar code is total: no point fails."""
+    return lambda *operands: (batched(*operands), True)
 
 
 class _Operation(NamedTuple):
@@ -361,19 +356,20 @@ _NEGATE = "u-"  # unary minus: a key no name token can spell
 # scalar path and its numpy code for the batched path (see _run_block).  The
 # parser reads function arities from here.
 _OPERATIONS: dict[str, _Operation] = {
-    "+": _Operation(2, operator.add, lambda ok, a, b: _finite(np.add(a, b), ok)),
-    "-": _Operation(2, operator.sub, lambda ok, a, b: _finite(np.subtract(a, b), ok)),
-    "*": _Operation(2, operator.mul, lambda ok, a, b: _finite(np.multiply(a, b), ok)),
+    "+": _Operation(2, operator.add, _total(np.add)),
+    "-": _Operation(2, operator.sub, _total(np.subtract)),
+    "*": _Operation(2, operator.mul, _total(np.multiply)),
     "/": _Operation(2, _divide, _divide_batched),
     "^": _Operation(2, _power, functools.partial(_per_operand, _power)),
-    _NEGATE: _Operation(1, operator.neg, lambda ok, a: np.negative(a)),
-    "max": _Operation(2, max, lambda ok, a, b: np.where(np.greater(b, a), b, a)),
-    "min": _Operation(2, min, lambda ok, a, b: np.where(np.less(b, a), b, a)),
-    "abs": _Operation(1, abs, lambda ok, a: np.abs(a)),
-    "sign": _Operation(1, _sign, lambda ok, t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0)),
+    _NEGATE: _Operation(1, operator.neg, _total(np.negative)),
+    "max": _Operation(2, max, _total(lambda a, b: np.where(np.greater(b, a), b, a))),
+    "min": _Operation(2, min, _total(lambda a, b: np.where(np.less(b, a), b, a))),
+    "abs": _Operation(1, abs, _total(np.abs)),
+    "sign": _Operation(1, _sign, _total(lambda t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0))),
     "exp": _Operation(1, _exp, functools.partial(_per_operand, _exp)),
     "ln": _Operation(1, _log, functools.partial(_per_operand, _log)),
-    "relu": _Operation(1, lambda t: max(t, 0.0), lambda ok, a: np.where(np.less(a, 0.0), 0.0, a)),
+    "relu": _Operation(1, lambda t: max(t, 0.0),
+                       _total(lambda a: np.where(np.less(a, 0.0), 0.0, a))),
 }
 
 
@@ -419,33 +415,36 @@ def _run(program: tuple, x: Sequence[float]) -> float:
     return stack[0]
 
 
-def _run_block(program: tuple, cols: list, ok: np.ndarray) -> "np.ndarray | float":
+def _run_block(program: tuple, cols: list) -> tuple:
     """The values of a program over a block of points, given the coordinate
-    columns (indexed by variable) and one flag ``ok`` per point.
+    columns (indexed by variable), and flags clear where an operation of
+    the scalar path raises: ``True`` where none does, or a bool array.
 
     Every value equals the scalar path's bit for bit: ``+ - * /``, negation
     and ``abs`` round as Python floats do, ``max``/``min``/``relu``/``sign``
     keep Python's tie rules, and ``^``, ``exp`` and ``ln`` call the scalar
-    code.  The flags of points whose scalar evaluation raises are cleared:
-    every operation that can turn finite operands into a non-finite value
-    flags it where it first appears, ``/`` flags a zero divisor, and ``^``,
-    ``exp`` and ``ln`` flag a failing call.
+    code.  Each subtree carries its own flags, of at most its shape: ``/``
+    clears them where the divisor is 0, ``^``, ``exp`` and ``ln`` where the
+    call fails, and the rest pass their operands' on.  A non-finite value
+    needs no flag: Python's ``+ - *`` never raise, numpy gives Python's
+    results on inf and NaN, and ``evaluate_table`` re-runs non-finite ones.
     """
     stack: list = []
     push, pop = stack.append, stack.pop
     for step in program:
         kind = type(step)
         if kind is Var:
-            push(cols[step.index])
+            push((cols[step.index], True))
         elif kind is Num:
-            if not math.isfinite(step.value):
-                ok[:] = False
-            push(step.value)
+            push((step.value, True))
         elif step.arity == 1:
-            push(step.batched(ok, pop()))
+            a, ok = pop()
+            value, own = step.batched(a)
+            push((value, own & ok))  # True & True is True: no array made
         else:
-            right = pop()
-            push(step.batched(ok, pop(), right))
+            (b, ok_b), (a, ok_a) = pop(), pop()
+            value, own = step.batched(a, b)
+            push((value, own & ok_a & ok_b))
     return stack[0]
 
 
@@ -484,16 +483,17 @@ class FunctionHandle:
 
     A handle has a scalar path, ``_evaluate`` at one point, and a block
     path, ``_evaluate_block``, which never raises; ``evaluate_table`` runs
-    the scalar path where a block leaves NaN.  Handles are immutable after
-    construction and evaluation is pure, so they may be shared and called
-    concurrently.
+    the scalar path where a block is not finite.  Handles are immutable and
+    evaluation is pure, so they may be shared and called concurrently.
     """
 
     d: int
     label: str
 
     def __call__(self, x: Sequence[float]) -> float:
-        point = as_point(x, self.d)
+        return self._finite_at(as_point(x, self.d))
+
+    def _finite_at(self, point: Point) -> float:
         value = self._evaluate(point)
         if not math.isfinite(value):
             raise EvaluationError(f"{self.label} is not finite at {point}: {value!r}")
@@ -510,10 +510,10 @@ class FunctionHandle:
         ``off[j]`` elsewhere.
 
         A block must not raise.  A value it leaves finite equals the scalar
-        path's bit for bit, and it leaves NaN at every point the scalar path
-        must decide (where it raises, or may), which ``evaluate_table`` then
-        evaluates one by one.  This one leaves every point to the scalar
-        path, so a Python callable or a table is called once per point.
+        path's bit for bit, and it leaves a non-finite value at every point
+        the scalar path must decide (where it raises, or may), for
+        ``evaluate_table`` to evaluate one by one.  This one leaves them all,
+        so a callable or a table is called once per point.
         """
         return np.full(len(anchors) * len(masks), math.nan)
 
@@ -549,7 +549,9 @@ class FunctionHandle:
                     values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
                                                      block).reshape(values.shape)
                     for a, m in np.argwhere(~np.isfinite(values)).tolist():
-                        values[a, m] = self(project(anchors[a0 + a], int(block[m])))
+                        mask, x = int(block[m]), anchors[a0 + a]
+                        values[a, m] = self._finite_at(
+                            tuple(c if mask >> j & 1 else 0.0 for j, c in enumerate(x)))
         if invalid is not None:
             raise invalid
         return table
@@ -575,9 +577,8 @@ class ExpressionFunction(FunctionHandle):
         return float(_run(self._program, x))
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
-        """The program run with numpy over the block's coordinate columns;
-        points whose scalar evaluation raises or passes through a
-        non-finite value are left NaN.
+        """The program run with numpy over the block's coordinate columns:
+        NaN where an operation of the scalar path raises, else its value.
 
         The block has shape ``(anchors, runs, 2, ..., 2)``, whose C-order
         flattening is mask order: ``runs`` aligned runs ``m0 .. m0 + 2^k -
@@ -601,11 +602,10 @@ class ExpressionFunction(FunctionHandle):
             else:  # bit j is the run head's
                 bit = (heads >> j & 1).reshape((1, -1) + (1,) * k)
             cols[j] = np.where(bit, anchors[:, j].reshape((-1,) + (1,) * (k + 1)), off[j])
-        ok = np.ones(shape, dtype=bool)
-        values = _run_block(self._program, cols, ok)
-        if isinstance(values, np.ndarray) and values.shape == shape and ok.all():
-            return values.reshape(-1)
-        return np.where(ok, values, math.nan).reshape(-1)
+        values, ok = _run_block(self._program, cols)
+        block = np.empty(shape)
+        block[...] = values if ok is True else np.where(ok, values, math.nan)
+        return block.reshape(-1)
 
 
 class NativeFunction(FunctionHandle):
@@ -666,7 +666,7 @@ class _Relabeled(FunctionHandle):
         self.label = f"{fn.label} o perm{perm}"
 
     def _evaluate(self, x: Point) -> float:
-        return self.fn(permute(x, self.perm))
+        return self.fn._finite_at(permute(x, self.perm))
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         # coordinate i of the relabeled point is coordinate perm[i], so it is
@@ -703,7 +703,7 @@ class _LinearCombination(FunctionHandle):
         self.label = " + ".join(f"{a}*{fn.label}" for a, fn in terms)
 
     def _evaluate(self, x: Point) -> float:
-        return _fsum([a * fn(x) for a, fn in self.terms])
+        return _fsum([a * fn._finite_at(x) for a, fn in self.terms])
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         blocks = [a * fn._evaluate_block(anchors, off, masks) for a, fn in self.terms]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,100 @@ def test_an_aligned_block_makes_no_scalar_evaluations(monkeypatch):
     assert calls == []
 
 
+# + - * of leaves near the float max: inf, -inf, or NaN from inf - inf, at
+# many points; every operation, one or two levels up, meets such operands,
+# and some (max, min, relu, sign, /, ^, exp) make them finite again.
+_huge = st.recursive(
+    st.one_of(st.sampled_from([1e200, 1e308]).map(expr.Num),
+              st.sampled_from([0, 1, 6]).map(expr.Var)),
+    lambda c: st.tuples(st.sampled_from("+-*"), c, c).map(lambda t: expr.Bin(*t)), max_leaves=4)
+_overflowing = st.tuples(st.sampled_from("+-*"), _huge, _huge).map(lambda t: expr.Bin(*t))
+_overflow_trees = _batch_branch(st.one_of(_overflowing, _batch_branch(_overflowing)))
+_overflow_coordinates = st.one_of(st.just(-0.0), st.sampled_from([1e200, -1e308]),
+                                  st.floats(-6.0, 6.0))
+
+
+@given(_overflow_trees, st.tuples(*[_overflow_coordinates] * 7),
+       st.lists(st.integers(0, 127), min_size=1, max_size=12).map(sorted))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_overflowing_intermediates_match_the_scalar_path(tree, x, masks):
+    fn = expr.ExpressionFunction(expr.format_expression(tree), 7)
+    for block in (masks, range(128)):  # gathered, and one aligned run (a cube)
+        values, error = _scalar_table(fn, x, block)
+        assert _raises(fn, x, block) == error
+        if error is None:
+            assert fn.evaluate_masks(x, block).tobytes() == np.array(values).tobytes()
+        # the block itself, with no scalar re-run to hide a missing flag: the
+        # scalar value where there is one, and no finite value where it raises
+        with np.errstate(all="ignore"):
+            got = fn._evaluate_block(np.array([x]), (0.0,) * 7, np.array(block))
+        for value, m in zip(got.tolist(), block):
+            try:
+                want = fn(core.project(x, m))
+            except expr.EvaluationError:
+                assert not math.isfinite(value)
+            else:
+                assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_failure_that_a_later_operation_hides_is_left_nan():
+    # max, sign and min make the failing operation's NaN (or 1/0's inf)
+    # finite again, so only that operation's own flags can mark the point;
+    # relu keeps the NaN of ln
+    anchors = [(1.5, 2.0, -0.5, 1.0, 0.25, -2.0, 3.0), (-1.0, 0.0, 0.5, 2.0, 1.0, 0.5, -1.5)]
+    for text in ("max(1, ln(x1))", "sign(1/x1)", "relu(-ln(x2))", "min(2, exp(x1*800))"):
+        f = expr.ExpressionFunction(text, 7)
+        for fn in (f, expr.compose_permutation(f, (6, 5, 4, 3, 2, 1, 0)),
+                   expr.linear_combine([(2.0, f)])):
+            for masks in (range(128), range(127, -1, -1)):  # a cube, and gathered
+                want, first = [], None
+                for x in anchors:
+                    for m in masks:
+                        try:
+                            want.append(fn(core.project(x, m)))
+                        except expr.EvaluationError as exc:
+                            want.append(math.nan)
+                            first = first or f"EvaluationError: {exc}"
+                with np.errstate(all="ignore"):
+                    got = fn._evaluate_block(np.array(anchors), (0.0,) * 7, np.array(masks))
+                assert got.tobytes() == np.array(want).tobytes()
+                assert first is not None and _table_raises(fn, anchors, masks) == first
+
+
+def test_an_overflow_a_later_operation_hides_takes_the_block_value(monkeypatch):
+    # x1*1e200*1e200 is inf wherever x1 is on, and min(inf, 5) is 5 on both paths
+    fn = expr.ExpressionFunction("min(x1*1e200*1e200, 5) + x2", 7)
+    x = (1.5, 0.7, -1.3, 2.0, 0.5, -0.25, 3.0)
+    runs = (range(128), [3, 0, 1, 1, 2])  # a cube, and gathered
+    wants = [np.array([fn(core.project(x, m)) for m in masks]) for masks in runs]
+    calls = []
+    monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
+                        lambda self, y: calls.append(y) or math.nan)
+    for masks, want in zip(runs, wants):
+        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+    assert calls == []
+
+
+def test_a_block_that_cannot_fail_makes_no_flag_array(monkeypatch):
+    # a polynomial of one-sided powers, like the benchmark's: no operation
+    # fails anywhere, so every subtree, and the whole block, has flags True
+    fn = expr.ExpressionFunction(
+        "2.5 + 0.8*x3^2 - 1.25*max(-x1,0)^3*x7 + 0.5*x2*x9^2*max(x4,0) - x5^3*x6*x8*x10", 10)
+    x = (-1.5, 0.7, 1.25, 0.9, -1.1, 0.6, 1.3, -0.8, 1.4, 0.55)
+    flags = []
+
+    def recorded(program, cols, run=expr._run_block):
+        values, ok = run(program, cols)
+        flags.append(ok)
+        return values, ok
+
+    monkeypatch.setattr(expr, "_run_block", recorded)
+    for masks in (range(1024), range(512, 1024), [7, 3, 1, 1000]):  # cubes, and gathered
+        want = np.array([fn(core.project(x, m)) for m in masks])
+        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+    assert len(flags) == 3 and all(ok is True for ok in flags)
+
+
 _MAPS = (expr.ScaleMap(-1.5), expr.ScaleMap(2.0), expr.OddPowerMap(3.0), expr.OddPowerMap(0.5),
          expr.PiecewiseLinearMap([(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5), (2.0, 3.0)]))
 
@@ -695,6 +790,37 @@ def test_evaluate_table_raises_the_first_error_in_point_order():
     assert calls == [core.project((1.0, 2.0), m) for m in range(4)] + [(0.0, 0.0), (-2.0, 0.0)]
 
 
+def test_the_scalar_path_gets_each_projected_point_once_and_validates_anchors_once(
+        monkeypatch):
+    validated = []
+    monkeypatch.setattr(expr, "as_point", lambda x, d=None, check=core.as_point:
+                        validated.append(x) or check(x, d))
+    anchors = [(1.5, -0.0, 2.0), (-0.0, 3.0, -1.25), (4.0, 1.0, 0.5)]
+    masks = [5, 0, 7, 2, 5]
+    calls = []
+    native = expr.NativeFunction(lambda y: calls.append(y) or y[0] - 2.0 * y[2], 3)
+    table = native.evaluate_table(anchors, masks)
+    points = [core.project(x, m) for x in anchors for m in masks]
+    # the same float tuples as project() gives, signed zeros too, in order
+    assert np.array(calls).tobytes() == np.array(points).tobytes()
+    assert all(type(y) is tuple and {type(c) for c in y} == {float} for y in calls)
+    assert table.tobytes() == np.array([y[0] - 2.0 * y[2] for y in points]).tobytes()
+    assert validated == anchors  # each anchor once, no projected point again
+    # errors as the one-point call gives them: a callable that raises, and a
+    # value that is not finite, at the second anchor's mask 2
+    def refuse(y):
+        if y == (0.0, 3.0, 0.0):
+            raise ValueError(f"no value at {y}")
+        return 1.0
+
+    for fn in (expr.NativeFunction(refuse, 3),
+               expr.NativeFunction(lambda y: math.inf if y == (0.0, 3.0, 0.0) else 1.0, 3)):
+        with pytest.raises(ValueError) as one:
+            fn((0.0, 3.0, 0.0))
+        with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+            fn.evaluate_table(anchors, masks)
+
+
 def test_batched_rounding_near_zero_follows_the_scalar_path():
     # x^3 and x*x*x round differently at some points: the scalar path then
     # divides by a tiny value (or by zero) and takes the sign of it (or 0)
@@ -739,7 +865,8 @@ def test_batched_recoverable_overflow_takes_scalar_value():
 
 
 def test_batched_value_does_not_depend_on_the_block():
-    # masks with x1 active overflow an intermediate and are re-run one by one
+    # masks with x1 active overflow an intermediate that min makes finite
+    # again: the block keeps the scalar value, whatever block it lands in
     fn = expr.ExpressionFunction("min(x1*1e200*1e200, 5) + x2^3 + exp(x3) - ln(2 + x2)", 3)
     x = (1.5, 0.7, -1.3)
     alone = [fn.evaluate_masks(x, [m])[0] for m in range(8)]
