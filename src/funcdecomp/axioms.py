@@ -1,13 +1,12 @@
-"""Executable verification of the axiom systems behind the allocation and
-decomposition principles, plus seeded generators for the function families
-the checks are exercised on.
+"""Executable verification of the axiom system behind the decomposition
+principles, plus seeded generators for the function families the checks
+are exercised on.
 
-Axiom identifiers: S1-S3 act on games, T1-T4 on functions of binary
-arguments, A1-A9 on decompositions of functions of real arguments.  The
-limit axioms A7/A8 can only be evidenced by finitely many evaluations, so
-their verdicts are at most "partial", never "pass".
+The axioms A1-A9 act on decompositions of functions of real arguments.
+The limit axioms A7/A8 can only be evidenced by finitely many evaluations,
+so their verdicts are at most "partial", never "pass".
 
-Index convention for A2/T2: with ``permute(x, p)[i] == x[p[i]]``, relabeling
+Index convention for A2: with ``permute(x, p)[i] == x[p[i]]``, relabeling
 the arguments of F by p turns the i-th contribution of the relabeled
 function into the p^-1(i)-th contribution of the original, evaluated at the
 relabeled point.  The checks compare exactly that.
@@ -15,8 +14,8 @@ relabeled point.  The checks compare exactly that.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
@@ -38,23 +37,12 @@ from .expr import (
     CoordinateMap,
     ExpressionFunction,
     FunctionHandle,
-    NativeFunction,
     OddPowerMap,
     PiecewiseLinearMap,
     ScaleMap,
     compose_coordinate_maps,
     compose_permutation,
     linear_combine,
-)
-from .game import (
-    Allocation,
-    Game,
-    add_games,
-    game_from_binary_function,
-    permute_game,
-    shapley,
-    shapley_weight,
-    weighted_marginals,
 )
 
 PASS = "pass"
@@ -78,10 +66,6 @@ class AxiomVerdict:
     def __post_init__(self) -> None:
         if self.status == FAIL and not self.witnesses:
             raise ValueError("a failing verdict must carry a counterexample witness")
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -326,118 +310,6 @@ def check_A9_reparameterization(principle: Principle, fn: FunctionHandle,
 
 
 # ---------------------------------------------------------------------------
-# Game axioms (S1-S3) and their binary-function counterparts (T1-T4)
-
-
-def _skewed_weight(d: int, size: int) -> float:
-    return shapley_weight(d, size) * (1.0 + 0.1 * size)
-
-
-def perturbed_shapley(game: Game) -> Allocation:
-    """Deliberately wrong allocator (size-skewed weights); negative control."""
-    return Allocation(tuple(weighted_marginals(game.values, game.d, _skewed_weight).tolist()))
-
-
-def _binary_mask(y: Sequence[float]) -> int:
-    return sum(1 << i for i, c in enumerate(y) if c != 0.0)
-
-
-def _binary_function(game: Game) -> FunctionHandle:
-    return NativeFunction(lambda y: game.values[_binary_mask(y)], game.d, label="game")
-
-
-def _dummy_players(game: Game) -> list[int]:
-    out = []
-    for i in range(game.d):
-        pairs = game.values.reshape(-1, 2, 1 << i)  # [:, 0] lacks player i, [:, 1] has it
-        if np.array_equal(pairs[:, 1], pairs[:, 0]):
-            out.append(i)
-    return out
-
-
-def _carriers(game: Game) -> list[int]:
-    """All sets N with v(S) = v(S & N) for every S.  Quadratic in the table
-    size, so restricted to small dimensions by the caller."""
-    masks = np.arange(1 << game.d)
-    return [n_mask for n_mask in range(1 << game.d)
-            if np.array_equal(game.values[masks & n_mask], game.values)]
-
-
-def check_shapley_axioms(game: Game, other: Game, perm: Permutation | None = None,
-                         allocator: Callable[[Game], Allocation] = shapley,
-                         tol: float = 1e-10, seed: int = 0) -> list[AxiomVerdict]:
-    """Check the allocator against the game axioms and, through the binary
-    encoding of coalitions, their function-level counterparts."""
-    d = game.d
-    base = allocator(game).shares
-    scale = _scale(base) + float(np.abs(game.values).max())
-
-    if d <= 5:
-        perms = [tuple(p) for p in itertools.permutations(range(d))]
-    else:
-        rng = seeded_rng(seed, 0x51)
-        perms = [tuple(int(v) for v in rng.permutation(d)) for _ in range(20)]
-    if perm is not None:
-        perms.append(perm)
-
-    verdicts = []
-
-    dev_s1 = []
-    for p in perms:
-        relabeled = allocator(permute_game(game, p)).shares
-        dev_s1.append((f"perm={p}", _gap(relabeled, permute(base, p)) / scale))
-    verdicts.append(_verdict("S1", dev_s1, tol))
-
-    if d <= 8:
-        dev_s2 = []
-        for n_mask in _carriers(game):
-            inside = math.fsum(base[i] for i in range(d) if n_mask >> i & 1)
-            dev_s2.append((f"carrier mask {n_mask:#b}",
-                           abs(inside - float(game.values[n_mask])) / scale))
-        verdicts.append(_verdict("S2", dev_s2, tol))
-    else:
-        verdicts.append(AxiomVerdict("S2", PARTIAL, math.nan, tol, (),
-                                     "carrier scan skipped above dimension 8"))
-
-    combined = allocator(add_games(game, other)).shares
-    other_shares = allocator(other).shares
-    summed = [a + b for a, b in zip(base, other_shares)]
-    dev_s3 = [("game pair", _gap(combined, summed) / scale)]
-    verdicts.append(_verdict("S3", dev_s3, tol))
-
-    # T1-T4: the same allocator driven through functions on binary points.
-    fn = _binary_function(game)
-    varphi = lambda f: allocator(game_from_binary_function(f)).shares  # noqa: E731
-    t_base = varphi(fn)
-
-    dev_t1 = [("ones", abs(math.fsum(t_base) - fn((1.0,) * d)) / scale)]
-    verdicts.append(_verdict("T1", dev_t1, tol))
-
-    dev_t2 = []
-    for p in perms[: max(1, min(len(perms), 10))]:
-        relabeled = varphi(compose_permutation(fn, p))
-        gap = _gap(relabeled, permute(t_base, inverse_permutation(p))) / scale
-        dev_t2.append((f"perm={p}", gap))
-    verdicts.append(_verdict("T2", dev_t2, tol))
-
-    dummies = _dummy_players(game)
-    if dummies:
-        dev_t3 = [(f"dummy player {i + 1}", abs(t_base[i]) / scale) for i in dummies]
-        verdicts.append(_verdict("T3", dev_t3, tol))
-    else:
-        verdicts.append(AxiomVerdict("T3", PASS, 0.0, tol, (),
-                                     "no dummy players; vacuously true"))
-
-    t_combined = varphi(_binary_function(add_games(game, other)))
-    t_other = varphi(_binary_function(other))
-    t_summed = [a + b for a, b in zip(t_base, t_other)]
-    dev_t4 = [("game pair", _gap(t_combined, t_summed) / scale)]
-    verdicts.append(_verdict("T4", dev_t4, tol))
-
-    return verdicts
-
-
-# ---------------------------------------------------------------------------
 # Seeded corpus generators (the families the uniqueness argument walks
 # through: products of one-sided powers, monomials, polynomials, step
 # functions, plus the worked examples and constants)
@@ -454,11 +326,21 @@ class CorpusSpec:
     params: Mapping = field(default_factory=dict)
 
 
+def _integer(name: str, value: object, least: int) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``least``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if isinstance(value, bool) or n is None or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
+
+
 def _power_product(bases: Sequence[str], q: Sequence[int]) -> ExpressionFunction:
     """Product of ``bases[i]^q_i``.  Exponent zero makes a factor
     identically one (0^0 = 1), so that coordinate is a dummy."""
-    if any(qi < 0 for qi in q):
-        raise ValueError("exponents must be non-negative integers")
+    q = [_integer(f"q[{i}]", qi, 0) for i, qi in enumerate(q)]
     fn = ExpressionFunction(" * ".join(f"{b}^{qi}" for b, qi in zip(bases, q)), len(q))
     fn.dummy_coordinates = tuple(i for i, qi in enumerate(q) if qi == 0)
     return fn
@@ -502,8 +384,10 @@ def example2_function(d: int, base: float = 10.0, rate: float = 2.0,
                       threshold: float | None = None) -> ExpressionFunction:
     """Shared utility bill as a function of d meter readings: base fee plus
     a per-unit rate on the total, optionally cheaper above a threshold."""
+    if (discount_rate is None) != (threshold is None):
+        raise ValueError("discount_rate and threshold must be given both or neither")
     total = " + ".join(f"x{i + 1}" for i in range(d))
-    if discount_rate is None or threshold is None:
+    if discount_rate is None:
         text = f"{base!r} + {rate!r} * ({total})"
     else:
         text = (f"{base!r} + {rate!r} * min({total}, {threshold!r})"
@@ -523,6 +407,9 @@ def step_function(d: int, thresholds: Sequence[float], jumps: Sequence[float]) -
 def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: int,
                        coeff_range: tuple[float, float],
                        allow_constant: bool) -> ExpressionFunction:
+    degree = (_integer("degree", degree, 0) if allow_constant
+              else _integer("degree without allow_constant", degree, 1))
+    n_terms = _integer("n_terms", n_terms, 1)
     lo, hi = coeff_range
     # Exponent vectors are uniform over the admissible ones: draw the total
     # degree s with probability proportional to the number C(s+d-1, d-1) of
@@ -549,10 +436,17 @@ def random_polynomial(d: int, seed: int, degree: int = 4, n_terms: int = 5,
                               allow_constant)
 
 
+# the parameters of each family that hold one entry per coordinate
+_PER_COORDINATE = {"max_monomial": ("q", "s"), "monomial": ("q",), "step_function": ("grid",)}
+
+
 def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
     """Deterministically generate ``spec.count`` functions of one family."""
     rng = seeded_rng(spec.seed, 0xC0)
     p = dict(spec.params)
+    for name in _PER_COORDINATE.get(spec.family, ()):
+        if name in p and (not isinstance(p[name], (list, tuple)) or len(p[name]) != spec.d):
+            raise ValueError(f"{name} must be a list of d = {spec.d} entries, got {p[name]!r}")
     out: list[FunctionHandle] = []
     for k in range(spec.count):
         if spec.family in ("max_monomial", "monomial"):

@@ -89,7 +89,10 @@ def _parse_ranks(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad permutation {text!r}; expected comma-separated integers") from None
 
 
-def _read_points_csv(path: str, d: int) -> list[tuple[float, ...]]:
+def _read_points_csv(path: str, d: int) -> tuple[list[tuple[float, ...]], ValueError | None]:
+    """The points of a CSV file before its first point that is not finite,
+    and the error naming that point's line (None if all are finite)."""
+    invalid = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -102,10 +105,18 @@ def _read_points_csv(path: str, d: int) -> list[tuple[float, ...]]:
                 continue
             if len(row) != d:
                 raise ValueError(f"line {lineno}: expected {d} columns, got {len(row)}")
-            points.append(tuple(float(c) for c in row))
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad value {cell!r}") from None
+                if invalid is None and not math.isfinite(value):
+                    invalid = ValueError(f"line {lineno}: value {cell!r} is not finite")
+            if invalid is None:
+                points.append(tuple(map(float, row)))
     if not points:
-        raise ValueError("points CSV contains no points")
-    return points
+        raise invalid or ValueError("points CSV contains no points")
+    return points, invalid
 
 
 def _mask_key(mask: int) -> str:
@@ -298,13 +309,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if bool(args.function) == bool(args.table_csv):
         raise ValueError("provide exactly one of -f/--function or --table-csv")
 
+    invalid = None  # a --points-csv point that is not finite, raised after those before it
     if args.point:
         points = [_parse_point(args.point)]
     elif args.points_csv:
         if args.table_csv:
             raise ValueError("--points-csv cannot be combined with --table-csv "
                              "(a table anchors a single point)")
-        points = _read_points_csv(args.points_csv, d)
+        points, invalid = _read_points_csv(args.points_csv, d)
     else:
         raise ValueError("provide -x/--point or --points-csv")
 
@@ -329,6 +341,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _dump_mask_table(args.dump_table, fn, points[0])
 
     meta, rows = _decompose_rows(fn, points, method, args)
+    if invalid is not None:
+        raise invalid
     _write_output(_render_decomposition(meta, rows, args.format), args.output)
     worst = max(row["residual"] for row in rows)
     return EXIT_OK if worst <= args.tol else EXIT_FAIL

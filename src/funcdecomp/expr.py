@@ -448,19 +448,6 @@ def _run_block(program: tuple, cols: list) -> tuple:
     return stack[0]
 
 
-def format_expression(node: Node) -> str:
-    """Render a tree back to source text (fully parenthesized)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Neg):
-        return f"(-{format_expression(node.operand)})"
-    if isinstance(node, Bin):
-        return f"({format_expression(node.left)} {node.op} {format_expression(node.right)})"
-    return f"{node.name}({', '.join(format_expression(a) for a in node.args)})"
-
-
 # ---------------------------------------------------------------------------
 # Function handles
 

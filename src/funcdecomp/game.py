@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,11 +17,9 @@ from .core import (
     ORIGIN_TOLERANCE,
     DimensionMismatchError,
     NonzeroOriginError,
-    Permutation,
     indices_from_mask,
     mask_from_indices,
     permutation_average_marginals,
-    permute_mask,
     validate_dimension,
 )
 from .expr import FunctionHandle
@@ -86,7 +84,6 @@ class Allocation:
         return abs(self.total - game.grand_value)
 
 
-@lru_cache(maxsize=None)
 def shapley_weight(d: int, size: int) -> float:
     """Weight (size-1)!(d-size)!/d! for a coalition of the given size.
 
@@ -99,26 +96,26 @@ def shapley_weight(d: int, size: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _size_weights(d: int, weight: Callable[[int, int], float]) -> np.ndarray:
-    """Weight per coalition size 0..d (size 0 never contributes; read-only)."""
-    out = np.array([0.0] + [weight(d, size) for size in range(1, d + 1)])
+def _size_weights(d: int) -> np.ndarray:
+    """Shapley weight per coalition size 0..d (size 0 never contributes;
+    read-only)."""
+    out = np.array([0.0] + [shapley_weight(d, size) for size in range(1, d + 1)])
     out.flags.writeable = False
     return out
 
 
-def weighted_marginals(values: Sequence[float], d: int,
-                       weight: Callable[[int, int], float] = shapley_weight) -> np.ndarray:
+def weighted_marginals(values: Sequence[float], d: int) -> np.ndarray:
     """Per coordinate ``i``, the sum over coalitions ``S`` containing ``i``
-    of ``weight(d, |S|) * (values[S] - values[S \\ {i}])``.
+    of ``shapley_weight(d, |S|) * (values[S] - values[S \\ {i}])``.
 
     ``values`` is a dense table indexed by subset bitmask along its last
     axis, with any number of rows before it: a table of shape
     ``(n, 2^d)`` gives ``(n, d)``, and one of shape ``(2^d,)`` gives
     ``(d,)``.  Row k of the result depends on row k of the table alone and
-    equals the result for that row by itself bit for bit.  With the
-    default weight this is the Shapley value of each row read as a game.
-    Each difference is taken before it is weighted, so a coordinate that
-    never changes the value gets exactly 0.
+    equals the result for that row by itself bit for bit.  This is the
+    Shapley value of each row read as a game.  Each difference is taken
+    before it is weighted, so a coordinate that never changes the value
+    gets exactly 0.
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape[-1:] != (1 << d,):
@@ -130,7 +127,7 @@ def weighted_marginals(values: Sequence[float], d: int,
     sizes = np.zeros(1 << d, dtype=np.uint8)
     for i in range(d):
         sizes.reshape(-1, 2, 1 << i)[:, 1] += 1
-    w = _size_weights(d, weight)[sizes]
+    w = _size_weights(d)[sizes]
     out = np.empty((n, d))
     diff = np.empty((n, 1 << (d - 1)))  # one buffer for every coordinate
     for i in range(d):
@@ -182,12 +179,13 @@ def game_from_table(d: int, values: Sequence[float]) -> Game:
 def induced_game(fn: FunctionHandle, x: Sequence[float]) -> Game:
     """The game S -> F(p_S x) of a function at a point.
 
-    The dimension cap is checked before any evaluation, and F(0) is
-    evaluated and checked (see `game_from_table`) before any other point.
+    The dimension cap is checked before any evaluation, and F(0) before
+    any other point (see `check_empty_coalition`); the game stores it as
+    exactly zero.  Each of the ``2^d`` points is evaluated once.
     """
     d = validate_dimension(fn.d, EXACT_SUBSET_CAP)
     check_empty_coalition(fn.evaluate_masks(x, [0])[0])
-    return game_from_table(d, fn.evaluate_masks(x, np.arange(1 << d)))
+    return Game(d, np.concatenate(([0.0], fn.evaluate_masks(x, np.arange(1, 1 << d)))))
 
 
 def game_from_binary_function(fn: FunctionHandle) -> Game:
@@ -195,19 +193,6 @@ def game_from_binary_function(fn: FunctionHandle) -> Game:
     encoded by mask ``m`` is valued at the function's output on the
     indicator vector of ``m`` (the game induced at the all-ones point)."""
     return induced_game(fn, (1.0,) * fn.d)
-
-
-def permute_game(game: Game, perm: Permutation) -> Game:
-    """The relabeled game (v o pi)(S) := v(pi(S))."""
-    if len(perm) != game.d:
-        raise DimensionMismatchError(f"permutation length {len(perm)} != d {game.d}")
-    return Game(game.d, game.values[permute_mask(np.arange(1 << game.d), perm)])
-
-
-def add_games(a: Game, b: Game) -> Game:
-    if a.d != b.d:
-        raise DimensionMismatchError(f"dimension mismatch: {a.d} vs {b.d}")
-    return Game(a.d, a.values + b.values)
 
 
 # ---------------------------------------------------------------------------

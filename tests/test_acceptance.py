@@ -16,16 +16,15 @@ from funcdecomp.axioms import (
     PASS,
     SEQUENTIAL_FIXED,
     SuiteConfig,
-    check_shapley_axioms,
     example1_function,
     max_monomial,
-    perturbed_shapley,
     random_polynomial,
     run_axiom_suite,
 )
 from funcdecomp.expr import ExpressionFunction
 from funcdecomp.game import Game, game_from_binary_function, shapley, shapley_permutation_oracle
 
+from game_axioms import check_shapley_axioms, perturbed_shapley
 from oracles import close
 
 

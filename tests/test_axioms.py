@@ -26,9 +26,7 @@ from funcdecomp.axioms import (
     check_A7_continuity_of_delta,
     check_A8_continuity_inheritance,
     check_A9_reparameterization,
-    check_shapley_axioms,
     generate_corpus,
-    perturbed_shapley,
     run_axiom_suite,
     sample_points,
 )
@@ -41,6 +39,7 @@ from funcdecomp.expr import (
 )
 from funcdecomp.game import Game, shapley
 
+from game_axioms import check_shapley_axioms, perturbed_shapley
 
 
 def pts(d, n=30, seed=0, low=-3.0, high=3.0):

@@ -92,6 +92,18 @@ def test_decompose_points_csv(capsys, tmp_path):
     assert payload["rows"][1]["contributions"] == [3.0, 3.0]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2\n1,2\n3,abc\n", "line 3: bad value 'abc'"),
+    ("x1,x2\n1,2\n\nnan,1\n", "line 4: value 'nan' is not finite"),
+    ("x1,x2\n1,inf\n", "line 2: value 'inf' is not finite"),
+])
+def test_points_csv_errors_name_the_line(capsys, tmp_path, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    assert run(capsys, "decompose", "-d", "2", "-f", "x1*x2", "--points-csv", str(path)) == (
+        2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("method", ["delta-star", "as", "sequential", "pointwise", "mc"])
 def test_points_csv_reports_the_first_error_in_point_order(capsys, tmp_path, method):
     path = tmp_path / "points.csv"
@@ -424,6 +436,30 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     ({"d": 2, "families": [{"family": "polynomial", "families": []}]},
      "corpus spec families[0]: unknown key 'families'"),
     ({"n_points": 0}, "n_points must be at least 1, got 0"),
+    ({"d": 2, "families": [{"family": "monomial", "params": {"q": [1]}}]},
+     "q must be a list of d = 2 entries, got [1]"),
+    ({"d": 3, "families": [{"family": "max_monomial", "params": {"q": [1, 2], "s": [1, -1]}}]},
+     "q must be a list of d = 3 entries, got [1, 2]"),
+    ({"d": 3, "families": [{"family": "max_monomial",
+                            "params": {"q": [1, 2, 0], "s": [1, -1]}}]},
+     "s must be a list of d = 3 entries, got [1, -1]"),
+    ({"d": 2, "families": [{"family": "step_function", "params": {"grid": [0.5]}}]},
+     "grid must be a list of d = 2 entries, got [0.5]"),
+    ({"d": 3, "families": [{"family": "monomial", "params": {"q": [1.5, 1, 2]}}]},
+     "q[0] must be an integer of at least 0, got 1.5"),
+    ({"d": 2, "families": [{"family": "max_monomial", "params": {"q": [1, True]}}]},
+     "q[1] must be an integer of at least 0, got True"),
+    ({"d": 2, "families": [{"family": "monomial", "params": {"q": [2, -1]}}]},
+     "q[1] must be an integer of at least 0, got -1"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"n_terms": 0}}]},
+     "n_terms must be an integer of at least 1, got 0"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"degree": 0}}]},
+     "degree without allow_constant must be an integer of at least 1, got 0"),
+    ({"d": 2, "families": [{"family": "polynomial",
+                            "params": {"degree": -1, "allow_constant": True}}]},
+     "degree must be an integer of at least 0, got -1"),
+    ({"d": 3, "families": [{"family": "example2", "params": {"discount_rate": 1.5}}]},
+     "discount_rate and threshold must be given both or neither"),
 ])
 def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
     path = tmp_path / "corpus.json"
@@ -501,6 +537,12 @@ def test_example2_with_volume_discount(capsys):
     assert code == 0
     row = payload["rows"][0]
     assert abs(sum(row["contributions"]) - row["total"]) < 1e-9
+
+
+@pytest.mark.parametrize("flags", [("--discount-rate", "1.5"), ("--threshold", "5")])
+def test_example2_needs_discount_rate_and_threshold_together(capsys, flags):
+    assert run(capsys, "example2", "--readings", "1,2,3", *flags) == (
+        2, "", "error: discount_rate and threshold must be given both or neither\n")
 
 
 def test_example3_zero_moves_give_zero(capsys):

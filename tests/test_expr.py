@@ -15,6 +15,19 @@ from oracles import close
 D2 = lambda text: expr.ExpressionFunction(text, 2)  # noqa: E731
 
 
+def format_expression(node):
+    """Render a tree back to source text (fully parenthesized)."""
+    if isinstance(node, expr.Num):
+        return repr(node.value)
+    if isinstance(node, expr.Var):
+        return f"x{node.index + 1}"
+    if isinstance(node, expr.Neg):
+        return f"(-{format_expression(node.operand)})"
+    if isinstance(node, expr.Bin):
+        return f"({format_expression(node.left)} {node.op} {format_expression(node.right)})"
+    return f"{node.name}({', '.join(format_expression(a) for a in node.args)})"
+
+
 def points(d, n=100, seed=0, low=-5.0, high=5.0):
     rng = np.random.default_rng(seed)
     return [tuple(map(float, row)) for row in rng.uniform(low, high, size=(n, d))]
@@ -150,13 +163,13 @@ _trees = st.recursive(_leaf, _branch, max_leaves=12)
 @given(_trees)
 @settings(max_examples=200, deadline=None)
 def test_parse_print_round_trip(tree):
-    assert expr.ExpressionFunction(expr.format_expression(tree), 2).tree == tree
+    assert expr.ExpressionFunction(format_expression(tree), 2).tree == tree
 
 
 def test_round_trip_on_paper_style_expressions():
     for text in ["(x1+2)*(x2+3) - 6", "max(x1,0)^2 * max(-x2,0)", "sign(x1) * abs(x2)^1.5"]:
         fn = D2(text)
-        printed = expr.format_expression(fn.tree)
+        printed = format_expression(fn.tree)
         again = D2(printed)
         for x in points(2, n=100, seed=1):
             assert fn(x) == again(x)
@@ -372,7 +385,7 @@ def _raises(fn, x, masks):
        st.lists(st.integers(0, 7), min_size=1, max_size=12).map(sorted))
 @settings(max_examples=600, deadline=None, derandomize=True)
 def test_batched_evaluation_matches_scalar_path(tree, x, masks):
-    fn = expr.ExpressionFunction(expr.format_expression(tree), 3)
+    fn = expr.ExpressionFunction(format_expression(tree), 3)
     values, error = _scalar_table(fn, x, masks)
     assert error is None or error.startswith("EvaluationError: ")
     repeated = masks * (expr._SHORT + 1)  # a block long enough to share operands
@@ -411,7 +424,7 @@ def _mask_runs(draw):
        _mask_runs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_aligned_and_unaligned_blocks_match_the_scalar_path(tree, anchors, masks):
-    fn = expr.ExpressionFunction(expr.format_expression(tree), 9)
+    fn = expr.ExpressionFunction(format_expression(tree), 9)
     values, error = [], None
     for x in anchors:  # point by point, mask by mask
         row, error = _scalar_table(fn, x, masks)
@@ -488,7 +501,7 @@ _overflow_coordinates = st.one_of(st.just(-0.0), st.sampled_from([1e200, -1e308]
        st.lists(st.integers(0, 127), min_size=1, max_size=12).map(sorted))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_overflowing_intermediates_match_the_scalar_path(tree, x, masks):
-    fn = expr.ExpressionFunction(expr.format_expression(tree), 7)
+    fn = expr.ExpressionFunction(format_expression(tree), 7)
     for block in (masks, range(128)):  # gathered, and one aligned run (a cube)
         values, error = _scalar_table(fn, x, block)
         assert _raises(fn, x, block) == error
@@ -581,7 +594,7 @@ def _compositions(inner):
     )
 
 
-_expressions = _batch_trees.map(lambda tree: expr.ExpressionFunction(expr.format_expression(tree), 3))
+_expressions = _batch_trees.map(lambda tree: expr.ExpressionFunction(format_expression(tree), 3))
 _composed = _compositions(st.one_of(_expressions, _compositions(_expressions)))
 
 

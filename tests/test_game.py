@@ -14,9 +14,11 @@ from funcdecomp.core import (
     full_mask,
     mask_from_indices,
     permute_mask,
+    project,
 )
 from funcdecomp.expr import ExpressionFunction, NativeFunction
 
+from game_axioms import add_games, permute_game
 from oracles import all_close, brute_delta_star, brute_shapley, close
 
 
@@ -100,7 +102,7 @@ def test_symmetry_under_relabeling(d, seed, data):
     g = random_game(d, np.random.default_rng(seed))
     perm = tuple(data.draw(st.permutations(range(d))))
     base = gm.shapley(g).shares
-    relabeled = gm.shapley(gm.permute_game(g, perm)).shares
+    relabeled = gm.shapley(permute_game(g, perm)).shares
     for i in range(d):
         assert close(relabeled[i], base[perm[i]])
 
@@ -121,7 +123,7 @@ def test_null_player_gets_nothing():
 def test_additivity():
     rng = np.random.default_rng(5)
     a, b = random_game(4, rng), random_game(4, rng)
-    combined = gm.shapley(gm.add_games(a, b)).shares
+    combined = gm.shapley(add_games(a, b)).shares
     separate = [x + y for x, y in zip(gm.shapley(a).shares, gm.shapley(b).shares)]
     assert all_close(combined, separate)
 
@@ -224,8 +226,7 @@ def test_weighted_marginals_gives_dummy_exactly_zero_for_any_weight():
     d = 6
     half = rng.uniform(-5, 5, size=1 << (d - 1))
     values = np.concatenate([half, half])  # coordinate d never changes the value
-    for weight in (gm.shapley_weight, lambda n, s: gm.shapley_weight(n, s) * (1.0 + 0.1 * s)):
-        assert gm.weighted_marginals(values, d, weight)[d - 1] == 0.0
+    assert gm.weighted_marginals(values, d)[d - 1] == 0.0
     with pytest.raises(DimensionMismatchError):
         gm.weighted_marginals(values[:-1], d)
 
@@ -294,7 +295,7 @@ def test_permute_game_matches_scalar_permute_mask():
         g = random_game(d, rng)
         for _ in range(5):
             perm = tuple(int(v) for v in rng.permutation(d))
-            permuted = gm.permute_game(g, perm)
+            permuted = permute_game(g, perm)
             for m in range(1 << d):
                 assert permuted.values[m] == g.values[permute_mask(m, perm)]
 
@@ -307,6 +308,19 @@ def test_game_from_binary_function_checks_the_origin_first():
 
     with pytest.raises(NonzeroOriginError):
         gm.game_from_binary_function(NativeFunction(fn, 3))
+
+
+def test_induced_game_evaluates_each_point_once_the_origin_first():
+    calls = []
+
+    def fn(point):
+        calls.append(point)
+        return sum(point) + point[0] * point[2]
+
+    g = gm.induced_game(NativeFunction(fn, 3), (1.5, -2.0, 0.5))
+    assert len(calls) == 8 and len(set(calls)) == 8
+    assert calls[0] == (0.0, 0.0, 0.0)
+    assert g == gm.game_from_table(3, [fn(project((1.5, -2.0, 0.5), m)) for m in range(8)])
 
 
 def test_json_names_duplicate_and_missing_coalitions():
