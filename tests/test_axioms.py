@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from collections import Counter
@@ -299,6 +300,82 @@ def test_a9_forbidden_maps_rejected_at_construction():
         ScaleMap(0.0)
     with pytest.raises(ValueError):
         PiecewiseLinearMap([(0.0, 1.0), (1.0, 2.0)])  # h(0) = 1, no fixed point
+
+
+# ---------------------------------------------------------------------------
+# Negative controls over the default suite
+
+
+def proportional_split(fn, points):
+    """g_i = F(x) |x_i| / sum_j |x_j|, and F(0) / d at the origin: additive
+    and symmetric, but a dummy coordinate away from 0 takes a share (A3,
+    A6), and re-encoding an argument moves the shares (A9)."""
+    x = np.array(points, dtype=float).reshape(len(points), fn.d)
+    values = fn.evaluate_table(points, [(1 << fn.d) - 1])
+    weights = np.abs(x)
+    total = weights.sum(axis=1, keepdims=True)
+    return np.where(total > 0, values * weights / np.where(total > 0, total, 1.0), values / fn.d)
+
+
+PROPORTIONAL = Principle("proportional", proportional_split)
+
+
+@pytest.mark.parametrize("principle, failing", [
+    (DELTA_STAR, set()),
+    (AS_SUBSET, set()),
+    (SEQUENTIAL_FIXED, {"A2"}),
+    (FIRST_COORDINATE, {"A2", "A3"}),
+    (PROPORTIONAL, {"A3", "A6", "A9"}),
+], ids=lambda v: getattr(v, "name", None))
+def test_default_suite_verdict_matrix(principle, failing):
+    # which axioms each principle fails at the suite defaults: a check that
+    # turned vacuous would let a control pass
+    records = run_axiom_suite(principle)
+    assert {r.axiom for r in records} >= {f"A{k}" for k in range(1, 10)}
+    assert {r.axiom for r in records if r.verdict.status == FAIL} == failing
+
+
+# ---------------------------------------------------------------------------
+# Non-finite contributions
+
+
+# the contributions at the point (k, 1.0), by k: NaN and inf in chosen places
+POISONED_ROWS = [(math.nan, 1.0), (3.0, 0.0), (math.inf, 0.0), (0.0, math.nan),
+                 (1.0, 9.0), (1.0, -math.inf), (2.0, 0.0)]
+
+
+def poisoned_principle(reference):
+    """POISONED_ROWS at every function except ``reference``, which gets zeros."""
+    def compute(fn, points):
+        return [(0.0, 0.0) if fn is reference else POISONED_ROWS[int(x[0])] for x in points]
+    return Principle("poisoned", compute)
+
+
+_A1_WITNESSES = ('"witnesses": [{"input": "(1, 1)", "deviation": 1.0}, '
+                 '{"input": "(2, 1)", "deviation": Infinity}, '
+                 '{"input": "(4, 1)", "deviation": 1.2}]}')
+_A9_WITNESSES = ('"witnesses": [{"input": "x=(1, 1)", "deviation": 0.75}, '
+                 '{"input": "x=(4, 1)", "deviation": 0.9}, '
+                 '{"input": "x=(6, 1)", "deviation": 0.6666666666666666}]}')
+
+
+@pytest.mark.parametrize("order, worst_a1, worst_a9", [
+    (range(7), "NaN", "NaN"),
+    ([1, 0, 2, 3, 4, 5, 6], "Infinity", "0.9"),
+])
+def test_non_finite_contributions_keep_the_worst_and_failing_witnesses(order, worst_a1, worst_a9):
+    # as Python's max has it, a NaN deviation is the worst only when it
+    # comes first, and it never fails; inf fails
+    points = [(float(k), 1.0) for k in order]
+    a1 = check_A1_additivity(poisoned_principle(None), PRODUCT, points)
+    a9 = check_A9_reparameterization(poisoned_principle(PRODUCT), PRODUCT,
+                                     [ScaleMap(1.0), ScaleMap(1.0)], points)
+    assert [json.dumps(v.to_json_dict()) for v in (a1, a9)] == [
+        f'{{"axiom": "A1", "status": "fail", "max_deviation": {worst_a1}, '
+        f'"tolerance": 1e-09, {_A1_WITNESSES}',
+        f'{{"axiom": "A9", "status": "fail", "max_deviation": {worst_a9}, '
+        f'"tolerance": 1e-09, {_A9_WITNESSES}',
+    ]
 
 
 # ---------------------------------------------------------------------------

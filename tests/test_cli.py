@@ -643,3 +643,14 @@ def test_fixed_runs_match_recorded_output(capsys, tmp_path):
         digest.update(f"{code}\n{out}\n{err}\n".encode())
     assert digest.hexdigest() == (
         "0efac99d233522e1843784f3c1f5bdc8e15d10544fc4b0095a1e0280a10d9e60")
+
+
+def test_default_axiom_suites_match_recorded_output(capsys):
+    # the suite at its SuiteConfig defaults, as the benchmark runs it, for
+    # every principle: exit code, stdout and stderr, hashed
+    digest = hashlib.sha256()
+    for principle in ("as-subset", "delta-star", "first-coordinate", "sequential"):
+        code, out, err = run(capsys, "axioms", "--principle", principle)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == (
+        "e2e34b43f2793f5053bd92a27550cb3e54a515de47ada34ae58eb300ae979cee")
