@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
@@ -28,8 +29,6 @@ from .core import (
     Point,
     full_mask,
     inverse_permutation,
-    permute,
-    project,
     seeded_rng,
     validate_dimension,
 )
@@ -87,34 +86,32 @@ class AxiomVerdict:
 
 @dataclass(frozen=True)
 class Principle:
-    """A named map from a function and a list of points to one tuple of
-    contribution values per point."""
+    """A named map from a function and n points to an ``(n, d)`` float64
+    array of contributions, one row per point.  ``compute`` may give any
+    nested sequence of that shape; ``decompose`` gives it as that array."""
 
     name: str
     compute: Callable[[FunctionHandle, Sequence[Sequence[float]]],
                       Sequence[Sequence[float]]]
     requires_zero_origin: bool = False
 
-    def decompose(self, fn: FunctionHandle,
-                  points: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-        return [tuple(c) for c in self.compute(fn, points)]
+    def decompose(self, fn: FunctionHandle, points: Sequence[Sequence[float]]) -> np.ndarray:
+        return np.asarray(self.compute(fn, points), dtype=float).reshape(len(points), fn.d)
 
     def __call__(self, fn: FunctionHandle, x: Sequence[float]) -> tuple[float, ...]:
-        return self.decompose(fn, [x])[0]
+        return tuple(self.decompose(fn, [x])[0].tolist())
 
 
-def _contributions(method: Callable) -> Callable:
-    return lambda fn, points: [r.contributions for r in method(fn, points)]
+def _first_coordinate(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> np.ndarray:
+    out = np.zeros((len(points), fn.d))
+    out[:, 0] = _values(fn, points)
+    return out
 
 
-def _first_coordinate(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> list:
-    return [(fn(x),) + (0.0,) * (fn.d - 1) for x in points]
-
-
-DELTA_STAR = Principle("delta-star", _contributions(decomp.delta_star_many))
-AS_SUBSET = Principle("as-subset", _contributions(decomp.as_subset_many),
+DELTA_STAR = Principle("delta-star", lambda fn, xs: decomp.delta_star_arrays(fn, xs)[0])
+AS_SUBSET = Principle("as-subset", lambda fn, xs: decomp.as_subset_arrays(fn, xs)[0],
                       requires_zero_origin=True)
-SEQUENTIAL_FIXED = Principle("sequential", _contributions(decomp.sequential_many),
+SEQUENTIAL_FIXED = Principle("sequential", lambda fn, xs: decomp.sequential_arrays(fn, xs)[0],
                              requires_zero_origin=True)
 FIRST_COORDINATE = Principle("first-coordinate", _first_coordinate)
 
@@ -123,28 +120,35 @@ PRINCIPLES: dict[str, Principle] = {
 }
 
 
-def _describe(x: Sequence[float]) -> str:
-    return "(" + ", ".join(f"{c:.6g}" for c in x) + ")"
+def _describe(x: np.ndarray) -> str:
+    return "(" + ", ".join(f"{c:.6g}" for c in x.tolist()) + ")"
 
 
-def _verdict(axiom: str, deviations: list[Witness], tol: float,
-             note: str | None = None) -> AxiomVerdict:
-    worst = max(deviations, key=lambda w: w[1], default=("", 0.0))
-    failing = tuple(w for w in deviations if w[1] > tol)
-    if failing:
-        return AxiomVerdict(axiom, FAIL, worst[1], tol, failing[:3], note)
-    return AxiomVerdict(axiom, PASS, worst[1], tol, (), note)
+def _max(values: np.ndarray) -> np.ndarray:
+    """Python's ``max`` over the last axis, which keeps a first NaN: NaN
+    where the first value is NaN, else the largest value that is not NaN."""
+    first = values[..., 0]
+    return np.where(np.isnan(first), first, np.fmax.reduce(values, axis=-1))
 
 
-def _gap(a: Sequence[float], b: Sequence[float]) -> float:
-    """Largest absolute difference of two equally long vectors."""
-    return max(abs(u - v) for u, v in zip(a, b))
+def _gap(a: np.ndarray, b: np.ndarray, *compared: np.ndarray) -> np.ndarray:
+    """Largest absolute difference of each row of ``a`` and ``b``, relative
+    to the magnitudes it was measured between if given: divided by ``1 +
+    max |v|`` over each row of the ``compared`` arrays, side by side.  As
+    with Python floats, ``inf - inf`` is NaN without a warning."""
+    with np.errstate(all="ignore"):
+        gap = _max(np.abs(a - b))
+        return gap / (1.0 + _max(np.abs(np.concatenate(compared, axis=-1)))) if compared else gap
 
 
-def _scale(*vectors: Sequence[float]) -> float:
-    """``1 + max |v|`` over the vectors: the denominator that makes a gap
-    relative to the magnitudes it was measured between."""
-    return 1.0 + max(abs(v) for vec in vectors for v in vec)
+def _verdict(axiom: str, deviations: np.ndarray, tol: float,
+             describe: Callable[[int], str]) -> AxiomVerdict:
+    """FAIL with the first three points whose deviation exceeds ``tol`` as
+    witnesses (``describe`` names a point by its index), else PASS."""
+    failing = np.flatnonzero(deviations > tol)[:3].tolist()
+    worst = float(_max(deviations)) if len(deviations) else 0.0
+    witnesses = tuple((describe(k), float(deviations[k])) for k in failing)
+    return AxiomVerdict(axiom, FAIL if failing else PASS, worst, tol, witnesses)
 
 
 def _ladder_verdict(axiom: str, ladder: list[Witness], tol: float,
@@ -159,36 +163,61 @@ def _ladder_verdict(axiom: str, ladder: list[Witness], tol: float,
 
 
 # ---------------------------------------------------------------------------
-# A1-A9 checkers
+# A1-A9 checkers, each over its points as one (n, d) float array
 
 
-def _values(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> list[float]:
+def _points(points: Sequence[Sequence[float]], d: int) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(len(points), d)
+
+
+def _values(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> np.ndarray:
     """F at each point, in one ``evaluate_table`` call (the full mask
     projects a point onto itself)."""
-    return fn.evaluate_table(points, [full_mask(fn.d)])[:, 0].tolist()
+    return fn.evaluate_table(points, [full_mask(fn.d)])[:, 0]
 
 
 def check_A1_additivity(principle: Principle, fn: FunctionHandle,
                         points: Sequence[Point], tol: float = 1e-9) -> AxiomVerdict:
     """Contributions must sum back to the function value at every point."""
-    deviations = []
-    for x, total, g in zip(points, _values(fn, points), principle.decompose(fn, points)):
-        gap = abs(total - math.fsum(g)) / (1.0 + abs(total))
-        deviations.append((_describe(x), gap))
-    return _verdict("A1", deviations, tol)
+    points = _points(points, fn.d)
+    totals = _values(fn, points)
+    sums = np.array([math.fsum(g) for g in principle.decompose(fn, points).tolist()])
+    deviations = np.abs(totals - sums) / (1.0 + np.abs(totals))
+    return _verdict("A1", deviations, tol, lambda k: _describe(points[k]))
+
+
+def check_A2_permutations(principle: Principle, fn: FunctionHandle,
+                          perms: Sequence[Permutation], points: Sequence[Point],
+                          tol: float = 1e-10) -> list[AxiomVerdict]:
+    """Relabeling the arguments must relabel the contributions and nothing
+    else: one verdict per permutation.  The right-hand sides of all
+    permutations are decomposed in one call, after the left-hand sides; an
+    error is the one the permutations checked one by one raise first."""
+    if not perms:
+        return []
+    points = _points(points, fn.d)
+    moved = np.concatenate([points[:, p] for p in perms])
+    lhs = []
+    for perm in perms:
+        try:
+            lhs.append(principle.decompose(compose_permutation(fn, perm), points))
+        except ValueError:
+            if lhs:  # an earlier right-hand side raises first, if one fails
+                principle.decompose(fn, moved[:len(lhs) * len(points)])
+            raise
+    rhs = principle.decompose(fn, moved).reshape(len(perms), len(points), fn.d)
+    verdicts = []
+    for perm, left, right in zip(perms, lhs, rhs):
+        gaps = _gap(left, right[:, inverse_permutation(perm)], left, right)
+        verdicts.append(_verdict("A2", gaps, tol,
+                                 lambda k: f"x={_describe(points[k])} perm={perm}"))
+    return verdicts
 
 
 def check_A2_permutation(principle: Principle, fn: FunctionHandle, perm: Permutation,
                          points: Sequence[Point], tol: float = 1e-10) -> AxiomVerdict:
-    """Relabeling the arguments must relabel the contributions and nothing else."""
-    inv = inverse_permutation(perm)
-    lhs_all = principle.decompose(compose_permutation(fn, perm), points)
-    rhs_all = principle.decompose(fn, [permute(x, perm) for x in points])
-    deviations = []
-    for x, lhs, rhs in zip(points, lhs_all, rhs_all):
-        gap = _gap(lhs, permute(rhs, inv)) / _scale(lhs, rhs)
-        deviations.append((f"x={_describe(x)} perm={perm}", gap))
-    return _verdict("A2", deviations, tol)
+    """`check_A2_permutations` for one permutation."""
+    return check_A2_permutations(principle, fn, [perm], points, tol)[0]
 
 
 def check_A3_A6_dummy(principle: Principle, fn: FunctionHandle, dummy: int,
@@ -201,23 +230,21 @@ def check_A3_A6_dummy(principle: Principle, fn: FunctionHandle, dummy: int,
     sampled points contradict that claim, both checks are vacuous.
     """
     d = fn.d
-    others = full_mask(d) ^ (1 << dummy)
-    pairs = fn.evaluate_table(points, [full_mask(d), others]).tolist()
-    influence = max((abs(v - w) for v, w in pairs), default=0.0)
+    points = _points(points, d)
+    pairs = fn.evaluate_table(points, [full_mask(d), full_mask(d) ^ (1 << dummy)])
+    influence = float(_max(np.abs(pairs[:, 0] - pairs[:, 1]))) if len(points) else 0.0
     if influence > tol:
         note = (f"coordinate {dummy + 1} influences the function "
                 f"(deviation {influence:.3g}); dummy check vacuous")
         return (AxiomVerdict("A3", PARTIAL, influence, tol, (), note),
                 AxiomVerdict("A6", PARTIAL, influence, tol, (), note))
     at_origin = principle(fn, (0.0,) * d)[dummy]
-    fulls = principle.decompose(fn, points)
-    projections = principle.decompose(fn, [project(x, others) for x in points])
-    dev3, dev6 = [], []
-    for x, full, projected in zip(points, fulls, projections):
-        scale = _scale(full, projected)
-        dev3.append((_describe(x), abs(full[dummy] - at_origin) / scale))
-        dev6.append((_describe(x), _gap(full, projected) / scale))
-    return _verdict("A3", dev3, tol), _verdict("A6", dev6, tol)
+    projected = points.copy()
+    projected[:, dummy] = 0.0
+    full, projection = np.split(principle.decompose(fn, np.concatenate([points, projected])), 2)
+    describe = lambda k: _describe(points[k])  # noqa: E731
+    return (_verdict("A3", _gap(full[:, [dummy]], at_origin, full, projection), tol, describe),
+            _verdict("A6", _gap(full, projection, full, projection), tol, describe))
 
 
 def check_A4_A5_linearity(principle: Principle, fn: FunctionHandle, other: FunctionHandle,
@@ -225,17 +252,17 @@ def check_A4_A5_linearity(principle: Principle, fn: FunctionHandle, other: Funct
                           tol: float = 1e-10) -> tuple[AxiomVerdict, AxiomVerdict]:
     """Decomposing a sum must give the sum of decompositions (A4); scaling
     the function must scale the contributions (A5, alpha = 0 included)."""
+    points = _points(points, fn.d)
     combined = linear_combine([(1.0, fn), (1.0, other)])
     scaled = linear_combine([(alpha, fn)])
-    sides = zip(points, principle.decompose(fn, points), principle.decompose(other, points),
-                principle.decompose(combined, points), principle.decompose(scaled, points))
-    dev4, dev5 = [], []
-    for x, g, g_other, g_sum, g_scaled in sides:
-        summed = [a + b for a, b in zip(g, g_other)]
-        dev4.append((_describe(x), _gap(g_sum, summed) / _scale(g, g_other, g_sum)))
-        dev5.append((f"x={_describe(x)} alpha={alpha}",
-                     _gap(g_scaled, [alpha * gi for gi in g]) / _scale(g, g_scaled)))
-    return _verdict("A4", dev4, tol), _verdict("A5", dev5, tol)
+    g, g_other, g_sum, g_scaled = (principle.decompose(h, points)
+                                   for h in (fn, other, combined, scaled))
+    with np.errstate(all="ignore"):  # overflows to inf, as Python floats do
+        summed, g_alpha = g + g_other, alpha * g
+    dev4 = _gap(g_sum, summed, g, g_other, g_sum)
+    dev5 = _gap(g_scaled, g_alpha, g, g_scaled)
+    return (_verdict("A4", dev4, tol, lambda k: _describe(points[k])),
+            _verdict("A5", dev5, tol, lambda k: f"x={_describe(points[k])} alpha={alpha}"))
 
 
 def check_A7_continuity_of_delta(principle: Principle, fn: FunctionHandle,
@@ -249,14 +276,14 @@ def check_A7_continuity_of_delta(principle: Principle, fn: FunctionHandle,
     if len(coeffs) < 2 or any(abs(b) >= abs(a) for a, b in zip(coeffs, coeffs[1:])):
         return AxiomVerdict("A7", PARTIAL, math.nan, tol, (),
                             "perturbation sizes do not shrink; check skipped")
-    if not points:
+    if not len(points):
         return AxiomVerdict("A7", PARTIAL, math.nan, tol, (), "no points; check skipped")
+    points = _points(points, fn.d)
     reference = principle.decompose(fn, points)
     ladder: list[Witness] = []
     for c in coeffs:
         perturbed = principle.decompose(linear_combine([(1.0, fn), (c, direction)]), points)
-        dev = max(_gap(g, g_ref) for g, g_ref in zip(perturbed, reference))
-        ladder.append((f"coefficient {c:g}", dev))
+        ladder.append((f"coefficient {c:g}", float(_max(_gap(perturbed, reference)))))
     return _ladder_verdict("A7", ladder, tol,
                            "deviations do not decrease with the perturbation",
                            "deviation shrinks with the perturbation (limit not certifiable)")
@@ -276,24 +303,20 @@ def check_A8_continuity_inheritance(principle: Principle, fn: FunctionHandle, x:
         return AxiomVerdict("A8", PARTIAL, math.nan, tol, (), "no directions; check skipped")
     rng = seeded_rng(seed, 0xA8)
     raw = rng.standard_normal((n_directions, fn.d))
-    directions = [tuple(row / np.linalg.norm(row)) for row in raw]
+    directions = np.array([row / np.linalg.norm(row) for row in raw])
+    x = _points([x], fn.d)
     # the points at each step, n_directions of them per step
-    moved = [tuple(c + s * u for c, u in zip(x, direction))
-             for s in steps for direction in directions]
-    base_value = fn(x)
-    values = _values(fn, moved)
-    fn_devs = [max(abs(v - base_value) for v in values[k:k + n_directions])
-               for k in range(0, len(moved), n_directions)]
+    moved = np.concatenate([x + s * directions for s in steps])
+    base_value = fn(x[0])
+    fn_devs = _max(np.abs(_values(fn, moved) - base_value).reshape(len(steps), -1)).tolist()
     if fn_devs[-1] > 0.5 * fn_devs[0] and fn_devs[0] > tol:
         return AxiomVerdict("A8", PARTIAL, fn_devs[-1], tol, (),
                             "function values do not converge at x; "
                             "precondition unmet, check skipped")
-    base, *contributions = principle.decompose(fn, [x] + moved)
-    ladder: list[Witness] = []
-    for k, s in enumerate(steps):
-        at_step = contributions[k * n_directions:(k + 1) * n_directions]
-        ladder.append((f"step {s:g}", max(_gap(g, base) for g in at_step)))
-    return _ladder_verdict("A8", ladder, tol, "contribution deviations do not decrease",
+    g = principle.decompose(fn, np.concatenate([x, moved]))
+    devs = _max(_gap(g[1:], g[0]).reshape(len(steps), -1)).tolist()
+    return _ladder_verdict("A8", [(f"step {s:g}", dev) for s, dev in zip(steps, devs)], tol,
+                           "contribution deviations do not decrease",
                            "contributions converge with the input (limit not certifiable)")
 
 
@@ -302,11 +325,12 @@ def check_A9_reparameterization(principle: Principle, fn: FunctionHandle,
                                 tol: float = 1e-9) -> AxiomVerdict:
     """Losslessly re-encoding each argument (bijections of the line fixing
     zero) must re-encode the contribution functions the same way."""
-    lhs_all = principle.decompose(compose_coordinate_maps(fn, maps), points)
-    rhs_all = principle.decompose(fn, [tuple(h(c) for h, c in zip(maps, x)) for x in points])
-    deviations = [(f"x={_describe(x)}", _gap(lhs, rhs) / _scale(lhs, rhs))
-                  for x, lhs, rhs in zip(points, lhs_all, rhs_all)]
-    return _verdict("A9", deviations, tol)
+    points = _points(points, fn.d)
+    lhs = principle.decompose(compose_coordinate_maps(fn, maps), points)
+    mapped = [[h(c) for h, c in zip(maps, x)] for x in points.tolist()]
+    rhs = principle.decompose(fn, _points(mapped, fn.d))
+    return _verdict("A9", _gap(lhs, rhs, lhs, rhs), tol,
+                    lambda k: f"x={_describe(points[k])}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +359,14 @@ def _integer(name: str, value: object, least: int) -> int:
     if isinstance(value, bool) or n is None or n < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return n
+
+
+def _number(name: str, value: object) -> float:
+    """``value`` as a float if it is a finite real number (not a bool)."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if finite and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _power_product(bases: Sequence[str], q: Sequence[int]) -> ExpressionFunction:
@@ -410,7 +442,9 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
     degree = (_integer("degree", degree, 0) if allow_constant
               else _integer("degree without allow_constant", degree, 1))
     n_terms = _integer("n_terms", n_terms, 1)
-    lo, hi = coeff_range
+    if not isinstance(coeff_range, (list, tuple)) or len(coeff_range) != 2:
+        raise ValueError(f"coefficient_range must be a list of 2 numbers, got {coeff_range!r}")
+    lo, hi = (_number(f"coefficient_range[{i}]", v) for i, v in enumerate(coeff_range))
     # Exponent vectors are uniform over the admissible ones: draw the total
     # degree s with probability proportional to the number C(s+d-1, d-1) of
     # vectors summing to s, then one of those uniformly (stars and bars).
@@ -425,15 +459,6 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
         factors = [f"x{i + 1}^{int(qi)}" for i, qi in enumerate(q) if qi > 0]
         parts.append(f"{coef!r}" + ("" if not factors else " * " + " * ".join(factors)))
     return ExpressionFunction(" + ".join(parts), d)
-
-
-def random_polynomial(d: int, seed: int, degree: int = 4, n_terms: int = 5,
-                      coeff_range: tuple[float, float] = (-3.0, 3.0),
-                      allow_constant: bool = False) -> ExpressionFunction:
-    """Seeded random polynomial; without a constant term it vanishes at the
-    origin and every decomposition method applies."""
-    return _random_polynomial(d, seeded_rng(seed, 0x90), degree, n_terms, coeff_range,
-                              allow_constant)
 
 
 # the parameters of each family that hold one entry per coordinate
@@ -466,7 +491,8 @@ def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
                 spec.d, rng, p.get("degree", 4), p.get("n_terms", 5),
                 p.get("coefficient_range", (-3.0, 3.0)), p.get("allow_constant", False)))
         elif spec.family == "step_function":
-            thresholds = p.get("grid") or [float(v) for v in rng.uniform(-1, 1, size=spec.d)]
+            grid = p.get("grid") or rng.uniform(-1, 1, size=spec.d).tolist()
+            thresholds = [_number(f"grid[{i}]", t) for i, t in enumerate(grid)]
             jumps = [float(v) for v in rng.uniform(-2, 2, size=spec.d)]
             out.append(step_function(spec.d, thresholds, jumps))
         elif spec.family == "example1":
@@ -481,9 +507,9 @@ def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
     return out
 
 
-def sample_points(d: int, count: int, low: float, high: float, seed: int) -> list[Point]:
-    rng = seeded_rng(seed, 0xF0)
-    return [tuple(float(v) for v in row) for row in rng.uniform(low, high, size=(count, d))]
+def sample_points(d: int, count: int, low: float, high: float, seed: int) -> np.ndarray:
+    """``count`` seeded points of dimension ``d`` as the rows of an array."""
+    return seeded_rng(seed, 0xF0).uniform(low, high, size=(count, d))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +622,7 @@ def run_axiom_suite(principle: Principle, config: SuiteConfig = SuiteConfig(),
     def add(function: str, params: str, verdict: AxiomVerdict) -> None:
         records.append(SuiteRecord(verdict.axiom, function, params, verdict))
 
-    admissible: list[tuple[FunctionHandle, list[Point]]] = []
+    admissible: list[tuple[FunctionHandle, np.ndarray]] = []
     for k, fn in enumerate(corpus):
         points = sample_points(fn.d, config.n_points, *POINT_RANGE, seed=config.seed + 7919 * k)
         if principle.requires_zero_origin and abs(fn((0.0,) * fn.d)) > ORIGIN_TOLERANCE:
@@ -613,9 +639,10 @@ def run_axiom_suite(principle: Principle, config: SuiteConfig = SuiteConfig(),
         add(fn.label, f"{len(points)} points", check_A1_additivity(principle, fn, points, tol))
 
         rng = seeded_rng(config.seed, 0xA2 + k)
-        for _ in range(config.n_permutations):
-            perm = tuple(int(v) for v in rng.permutation(fn.d))
-            verdict = check_A2_permutation(principle, fn, perm, points, max(tol, 1e-10))
+        perms = [tuple(int(v) for v in rng.permutation(fn.d))
+                 for _ in range(config.n_permutations)]
+        for perm, verdict in zip(perms, check_A2_permutations(principle, fn, perms, points,
+                                                              max(tol, 1e-10))):
             add(fn.label, f"perm={perm}", verdict)
 
         for dummy in getattr(fn, "dummy_coordinates", ())[:1]:

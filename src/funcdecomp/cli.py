@@ -388,9 +388,12 @@ def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
         raise ValueError(f"corpus spec: 'families' must be a list, got {families!r}")
     corpus = []
     for k, entry in enumerate(families):
-        spec = axioms.build_settings(axioms.CorpusSpec, entry, f"corpus spec families[{k}]",
-                                     d=config.d, seed=config.seed)
-        corpus.extend(axioms.generate_corpus(spec))
+        what = f"corpus spec families[{k}]"
+        spec = axioms.build_settings(axioms.CorpusSpec, entry, what, d=config.d, seed=config.seed)
+        try:
+            corpus.extend(axioms.generate_corpus(spec))
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
     return config, corpus
 
 

@@ -3,12 +3,13 @@ average over all orders, the equivalent subset-weighted form, the extension
 to functions that do not vanish at the origin, and the per-point Shapley
 construction.
 
-Every method decomposes a list of points (``delta_star_many`` and the
-like); the one-point functions are its one-point case.  F is evaluated
-only on the projected family {p_I(x)}: F(0) once where the method checks
-it, then one ``evaluate_table`` call per group of points over the masks
-of one activation order or all 2^d masks, each group's table combined by
-one weighted-marginals kernel call.
+Every method decomposes n points into an (n, d) array of contributions
+and an (n,) array of totals; ``delta_star_many`` and the like give one
+result per point, and the one-point functions are their one-point case.
+F is evaluated only on the projected family {p_I(x)}: F(0) once where the
+method checks it, then one ``evaluate_table`` call per group of points
+over the masks of one activation order or all 2^d masks, each group's
+table combined by one weighted-marginals kernel call.
 """
 
 from __future__ import annotations
@@ -58,24 +59,27 @@ class DecompositionResult:
         return abs(self.total - math.fsum(self.contributions))
 
 
+Arrays = tuple[np.ndarray, np.ndarray]  # contributions (n, d) and totals (n,)
+
+
 def _checked(fn: FunctionHandle, points: Iterable[Sequence[float]],
-             cap: int | None) -> list:
-    """The points as a list, once the first point and then the dimension
-    cap are validated: the order a one-point call raises in.  Later points
-    are validated as ``evaluate_table`` reaches them."""
-    points = list(points)
-    if points:
+             cap: int | None) -> Sequence:
+    """The points as a list (an array stays one), once the first point and
+    then the dimension cap are validated: the order a one-point call raises
+    in.  Later points are validated as ``evaluate_table`` reaches them."""
+    points = points if isinstance(points, np.ndarray) else list(points)
+    if len(points):
         as_point(points[0], fn.d)
     validate_dimension(fn.d, cap)
     return points
 
 
-def _origin_value(fn: FunctionHandle, points: list) -> float:
+def _origin_value(fn: FunctionHandle, points: Sequence) -> float:
     """F(0), which is the same for every point; 0.0 when there are none."""
-    return float(fn.evaluate_masks(points[0], [0])[0]) if points else 0.0
+    return float(fn.evaluate_masks(points[0], [0])[0]) if len(points) else 0.0
 
 
-def _require_zero_origin(fn: FunctionHandle, points: list, method: str) -> float:
+def _require_zero_origin(fn: FunctionHandle, points: Sequence, method: str) -> float:
     """F(0), checked before any other projection is evaluated."""
     v0 = _origin_value(fn, points)
     if abs(v0) > ORIGIN_TOLERANCE:
@@ -86,9 +90,10 @@ def _require_zero_origin(fn: FunctionHandle, points: list, method: str) -> float
     return v0
 
 
-def _decompose(fn: FunctionHandle, points: list, combine: Callable[[np.ndarray], np.ndarray],
-               method: str, masks: Sequence[int] | None = None) -> list[DecompositionResult]:
-    """One result per point: the contributions ``combine`` makes of the
+def _decompose(fn: FunctionHandle, points: Sequence,
+               combine: Callable[[np.ndarray], np.ndarray],
+               masks: Sequence[int] | None = None) -> Arrays:
+    """One row per point: the contributions ``combine`` makes of the
     point's row of the table of F at ``project(x, m)`` over ``masks``
     (all 2^d masks if None), and the row's last value as the total.
 
@@ -100,21 +105,27 @@ def _decompose(fn: FunctionHandle, points: list, combine: Callable[[np.ndarray],
     """
     n_masks = 1 << fn.d if masks is None else len(masks)
     group = max(1, (1 << EXACT_SUBSET_CAP) // n_masks)
-    out: list[DecompositionResult] = []
+    contributions, totals = np.empty((len(points), fn.d)), np.empty(len(points))
     for start in range(0, len(points), group):
-        chunk = points[start:start + group]
         # the array of all masks is built per group, so it is freed before
         # the kernel runs
-        table = fn.evaluate_table(chunk, np.arange(n_masks) if masks is None else masks)
-        # evaluate_table has validated every point of the group
-        out += [DecompositionResult(tuple(map(float, x)), tuple(c), total, method)
-                for x, c, total in zip(chunk, combine(table).tolist(), table[:, -1].tolist())]
+        table = fn.evaluate_table(points[start:start + group],
+                                  np.arange(n_masks) if masks is None else masks)
+        contributions[start:start + len(table)] = combine(table)
+        totals[start:start + len(table)] = table[:, -1]
         del table  # before the next group's table is built
-    return out
+    return contributions, totals
 
 
-def sequential_many(fn: FunctionHandle, points: Iterable[Sequence[float]],
-                    perm: Permutation | None = None) -> list[DecompositionResult]:
+def _results(points: Sequence, arrays: Arrays, method: str) -> list[DecompositionResult]:
+    """The arrays of a method as one result per point, at valid ``points``."""
+    contributions, totals = arrays
+    return [DecompositionResult(tuple(map(float, x)), tuple(c), total, method)
+            for x, c, total in zip(points, contributions.tolist(), totals.tolist())]
+
+
+def sequential_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]],
+                      perm: Permutation | None = None) -> Arrays:
     """`sequential` at each of the points: F(0) once, then d evaluations
     per point."""
     d = fn.d
@@ -132,7 +143,16 @@ def sequential_many(fn: FunctionHandle, points: Iterable[Sequence[float]],
         contributions[:, order] = np.diff(table, axis=1, prepend=v0)
         return contributions
 
-    return _decompose(fn, points, steps, f"sequential{ranks_from_permutation(perm)}", chain)
+    return _decompose(fn, points, steps, chain)
+
+
+def sequential_many(fn: FunctionHandle, points: Iterable[Sequence[float]],
+                    perm: Permutation | None = None) -> list[DecompositionResult]:
+    """`sequential_arrays` as one result per point."""
+    points = list(points)
+    arrays = sequential_arrays(fn, points, perm)
+    ranks = ranks_from_permutation(identity_permutation(fn.d) if perm is None else perm)
+    return _results(points, arrays, f"sequential{ranks}")
 
 
 def sequential(fn: FunctionHandle, x: Sequence[float],
@@ -156,7 +176,7 @@ def as_permutation_many(fn: FunctionHandle,
     def enumerate_orders(table: np.ndarray) -> np.ndarray:
         return np.array([permutation_average_marginals(row, fn.d) for row in table])
 
-    return _decompose(fn, points, enumerate_orders, "as_permutation")
+    return _results(points, _decompose(fn, points, enumerate_orders), "as_permutation")
 
 
 def as_permutation(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -165,13 +185,18 @@ def as_permutation(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResul
     return as_permutation_many(fn, [x])[0]
 
 
-def as_subset_many(fn: FunctionHandle,
-                   points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+def as_subset_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Arrays:
     """`as_subset` at each of the points, one kernel call per group."""
     points = _checked(fn, points, EXACT_SUBSET_CAP)
     _require_zero_origin(fn, points, "as_subset")
-    return _decompose(fn, points, lambda table: game_mod.weighted_marginals(table, fn.d),
-                      "as_subset")
+    return _decompose(fn, points, lambda table: game_mod.weighted_marginals(table, fn.d))
+
+
+def as_subset_many(fn: FunctionHandle,
+                   points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`as_subset_arrays` as one result per point."""
+    points = list(points)
+    return _results(points, as_subset_arrays(fn, points), "as_subset")
 
 
 def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -182,15 +207,21 @@ def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     return as_subset_many(fn, [x])[0]
 
 
-def delta_star_many(fn: FunctionHandle,
-                    points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+def delta_star_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Arrays:
     """`delta_star` at each of the points, one kernel call per group."""
     points = _checked(fn, points, EXACT_SUBSET_CAP)
 
     def split(table: np.ndarray) -> np.ndarray:
         return table[:, :1] / fn.d + game_mod.weighted_marginals(table, fn.d)
 
-    return _decompose(fn, points, split, "delta_star")
+    return _decompose(fn, points, split)
+
+
+def delta_star_many(fn: FunctionHandle,
+                    points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+    """`delta_star_arrays` as one result per point."""
+    points = list(points)
+    return _results(points, delta_star_arrays(fn, points), "delta_star")
 
 
 def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -209,11 +240,11 @@ def pointwise_shapley_many(fn: FunctionHandle,
 
     def allocate(table: np.ndarray) -> np.ndarray:
         # each row as the game induced at its point: the checked origin
-        # value counts as exactly 0, as in game.game_from_table
+        # value counts as exactly 0, as in game.induced_game
         table[:, 0] = 0.0
         return game_mod.weighted_marginals(table, fn.d)
 
-    return _decompose(fn, points, allocate, "pointwise_shapley")
+    return _results(points, _decompose(fn, points, allocate), "pointwise_shapley")
 
 
 def pointwise_shapley(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:

@@ -47,14 +47,7 @@ from .core import (
 # whatever the number of masks.
 MASK_BLOCK = 1 << 16
 # Operands of up to this many values call ^, exp and ln once per value
-# instead of once per distinct value (see _per_operand).  A block of one
-# aligned run of up to this many masks, such as a 16-mask row of a d = 4
-# axiom check, is gathered (k = 0 in ExpressionFunction._evaluate_block),
-# not a cube (one run, an axis per mask bit): as a cube it gains nothing.
-# On a 2-core x86-64 box, ten alternating pairs of perfbench's axioms-d4
-# read op_s_p50 2.0% above the code with 4096-mask gathered blocks with
-# these rows as cubes (higher in 7 of 10), and 0.3% below it with them
-# gathered; the two layouts compared head to head differed by 0.1% (5 of 10).
+# instead of once per distinct value (see _per_operand).
 _SHORT = 64
 
 
@@ -453,16 +446,23 @@ def _run_block(program: tuple, cols: list) -> tuple:
 
 
 def _valid_prefix(points: Iterable[Sequence[float]],
-                  d: int) -> tuple[list[Point], Exception | None]:
-    """The points, as points of dimension ``d``, up to the first that is
-    not one, and that one's error (None if every point is valid)."""
-    anchors = []
+                  d: int) -> tuple[np.ndarray, Exception | None]:
+    """The points, as an ``(n, d)`` float array, up to the first that is
+    not a point of dimension ``d``, and that one's error (None if every
+    point is valid).  A float64 array of that shape is checked in one pass."""
+    if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.shape[1:] == (d,):
+        finite = np.isfinite(points).all(axis=1)
+        if finite.all():
+            return points, None
+        points = points[:finite.argmin() + 1]  # as_point raises at the last one
+    anchors, invalid = [], None
     for x in points:
         try:
             anchors.append(as_point(x, d))
         except (TypeError, ValueError) as exc:
-            return anchors, exc
-    return anchors, None
+            invalid = exc
+            break
+    return np.array(anchors, dtype=float).reshape(len(anchors), d), invalid
 
 
 class FunctionHandle:
@@ -519,24 +519,23 @@ class FunctionHandle:
         valid point of the function raises only after every point before
         it was evaluated.  A value does not depend on the block it lands in.
         """
-        anchors, invalid = _valid_prefix(points, self.d)
-        if invalid is not None and not anchors:
+        coords, invalid = _valid_prefix(points, self.d)
+        if invalid is not None and not len(coords):
             raise invalid
         masks = validate_masks(masks, self.d)
-        table = np.empty((len(anchors), len(masks)))
-        coords = np.array(anchors, dtype=float).reshape(len(anchors), self.d)
+        table = np.empty((len(coords), len(masks)))
         origin = (0.0,) * self.d
         width = max(1, min(len(masks), MASK_BLOCK))  # masks per block
         rows = MASK_BLOCK // width  # points per block
         with np.errstate(all="ignore"):
-            for a0 in range(0, len(anchors), rows):
+            for a0 in range(0, len(coords), rows):
                 for m0 in range(0, len(masks), width):
                     block = masks[m0:m0 + width]
                     values = table[a0:a0 + rows, m0:m0 + width]
                     values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
                                                      block).reshape(values.shape)
                     for a, m in np.argwhere(~np.isfinite(values)).tolist():
-                        mask, x = int(block[m]), anchors[a0 + a]
+                        mask, x = int(block[m]), coords[a0 + a].tolist()
                         values[a, m] = self._finite_at(
                             tuple(c if mask >> j & 1 else 0.0 for j, c in enumerate(x)))
         if invalid is not None:
@@ -574,10 +573,11 @@ class ExpressionFunction(FunctionHandle):
         0 last), and variable ``j >= k`` the value bit j of its run's head
         picks, so broadcasting evaluates each subtree only at the points
         its own variables take.  ``k`` is 0, one column entry per point,
-        unless the block is one aligned run of more than ``_SHORT`` masks.
+        unless the block is one aligned run of two or more masks, such as a
+        whole table's row.
         """
         n, k = len(masks), len(masks).bit_length() - 1
-        if not (n > _SHORT and n == 1 << k and masks[0] % n == 0
+        if not (n > 1 and n == 1 << k and masks[0] % n == 0
                 and (np.diff(masks) == 1).all()):
             k = 0
         heads = masks[::1 << k]
@@ -694,6 +694,10 @@ class _LinearCombination(FunctionHandle):
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         blocks = [a * fn._evaluate_block(anchors, off, masks) for a, fn in self.terms]
+        if len(blocks) <= 2:
+            # fsum of one or two terms is their rounded sum, with -0.0 made
+            # 0.0, wherever that sum is finite
+            return sum(blocks[1:], blocks[0]) + 0.0
         return np.array([_fsum(row) for row in np.column_stack(blocks).tolist()], dtype=float)
 
 

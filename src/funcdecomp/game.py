@@ -167,15 +167,6 @@ def check_empty_coalition(value: float) -> None:
         )
 
 
-def game_from_table(d: int, values: Sequence[float]) -> Game:
-    """Read a dense table of computed values, indexed by coalition mask, as
-    a game.  The empty-coalition entry must vanish within ORIGIN_TOLERANCE;
-    the game stores it as exactly zero."""
-    values = np.asarray(values, dtype=float)
-    check_empty_coalition(values[0])
-    return Game(d, np.concatenate(([0.0], values[1:])))
-
-
 def induced_game(fn: FunctionHandle, x: Sequence[float]) -> Game:
     """The game S -> F(p_S x) of a function at a point.
 

@@ -2,10 +2,10 @@
 functions of binary arguments (T1-T4), checked for any allocator, with a
 deliberately wrong allocator as their negative control.
 
-The verdicts are the package's `AxiomVerdict`s, built the way the A1-A9
-checks build theirs.  The negative control computes its shares by brute
-force over index-tuple subsets, as `oracles` does, so it shares no code
-with the kernel it is run against.
+The verdicts are the package's `AxiomVerdict`s, built from lists of
+(witness, deviation) pairs by the helpers below.  The negative control
+computes its shares by brute force over index-tuple subsets, as `oracles`
+does, so it shares no code with the kernel it is run against.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from funcdecomp.axioms import PARTIAL, PASS, AxiomVerdict, _gap, _scale, _verdict
+from funcdecomp.axioms import FAIL, PARTIAL, PASS, AxiomVerdict
 from funcdecomp.core import (
     DimensionMismatchError,
     inverse_permutation,
@@ -23,6 +23,19 @@ from funcdecomp.core import (
 )
 from funcdecomp.expr import NativeFunction, compose_permutation
 from funcdecomp.game import Allocation, Game, game_from_binary_function, shapley
+
+
+def _gap(a, b):
+    """Largest absolute difference of two equally long vectors."""
+    return max(abs(u - v) for u, v in zip(a, b))
+
+
+def _verdict(axiom, deviations, tol):
+    """FAIL with the first three (witness, deviation) pairs above ``tol``,
+    else PASS; the worst deviation either way."""
+    worst = max((w[1] for w in deviations), default=0.0)
+    failing = tuple(w for w in deviations if w[1] > tol)[:3]
+    return AxiomVerdict(axiom, FAIL if failing else PASS, worst, tol, failing)
 
 
 def permute_game(game, perm):
@@ -85,7 +98,7 @@ def check_shapley_axioms(game, other, perm=None, allocator=shapley, tol=1e-10, s
     encoding of coalitions, their function-level counterparts."""
     d = game.d
     base = allocator(game).shares
-    scale = _scale(base) + float(np.abs(game.values).max())
+    scale = 1.0 + max(abs(v) for v in base) + float(np.abs(game.values).max())
 
     if d <= 5:
         perms = [tuple(p) for p in itertools.permutations(range(d))]

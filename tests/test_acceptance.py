@@ -18,7 +18,6 @@ from funcdecomp.axioms import (
     SuiteConfig,
     example1_function,
     max_monomial,
-    random_polynomial,
     run_axiom_suite,
 )
 from funcdecomp.expr import ExpressionFunction
@@ -26,6 +25,7 @@ from funcdecomp.game import Game, game_from_binary_function, shapley, shapley_pe
 
 from game_axioms import check_shapley_axioms, perturbed_shapley
 from oracles import close
+from polynomials import random_polynomial
 
 
 def report(num, description, started, budget):

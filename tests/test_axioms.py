@@ -1,13 +1,16 @@
 import itertools
 import json
 import math
+import re
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from funcdecomp import axioms
+from funcdecomp import axioms, decomp
 from funcdecomp.axioms import (
     AS_SUBSET,
     DELTA_STAR,
@@ -22,6 +25,7 @@ from funcdecomp.axioms import (
     SuiteConfig,
     check_A1_additivity,
     check_A2_permutation,
+    check_A2_permutations,
     check_A3_A6_dummy,
     check_A4_A5_linearity,
     check_A7_continuity_of_delta,
@@ -32,7 +36,9 @@ from funcdecomp.axioms import (
     sample_points,
 )
 from funcdecomp.expr import (
+    EvaluationError,
     ExpressionFunction,
+    NativeFunction,
     OddPowerMap,
     PiecewiseLinearMap,
     ScaleMap,
@@ -40,7 +46,9 @@ from funcdecomp.expr import (
 )
 from funcdecomp.game import Game, shapley
 
+import game_axioms
 from game_axioms import check_shapley_axioms, perturbed_shapley
+from polynomials import random_polynomial
 
 
 def pts(d, n=30, seed=0, low=-3.0, high=3.0):
@@ -48,6 +56,22 @@ def pts(d, n=30, seed=0, low=-3.0, high=3.0):
 
 
 PRODUCT = ExpressionFunction("x1*x2", 2)
+
+
+# ---------------------------------------------------------------------------
+# Principles
+
+
+def test_principles_give_one_float_row_per_point():
+    fn = ExpressionFunction("x1*x2 + x3^2", 3)
+    points = pts(3, 7)
+    for principle in axioms.PRINCIPLES.values():
+        g = principle.decompose(fn, points)
+        assert g.dtype == np.float64 and g.shape == (7, 3)
+        assert principle.decompose(fn, [tuple(x) for x in points]).tobytes() == g.tobytes()
+        assert principle(fn, points[2]) == tuple(g[2].tolist())
+    results = decomp.delta_star_many(fn, points)
+    assert DELTA_STAR.decompose(fn, points).tolist() == [list(r.contributions) for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +92,7 @@ def test_a1_constant_split():
 
 
 def test_a1_broken_principle_fails_with_witness():
-    broken = Principle("broken", lambda f, xs: [g[:-1] + (0.0,) for g in DELTA_STAR.decompose(f, xs)])
+    broken = Principle("broken", lambda f, xs: [(*g[:-1], 0.0) for g in DELTA_STAR.decompose(f, xs)])
     verdict = check_A1_additivity(broken, ExpressionFunction("x1 + x2", 2), pts(2, 20))
     assert verdict.status == FAIL
     assert verdict.witnesses
@@ -105,6 +129,35 @@ def test_a2_first_coordinate_fails_on_asymmetric_function():
     fn = ExpressionFunction("x2", 2)
     verdict = check_A2_permutation(FIRST_COORDINATE, fn, (1, 0), pts(2, 25))
     assert verdict.status == FAIL
+
+
+def test_a2_over_several_permutations_gives_the_one_by_one_verdicts():
+    fn = ExpressionFunction("x1^2 * x2 + 3*x3 - x2*x3", 3)
+    perms = [(1, 2, 0), (0, 1, 2), (2, 1, 0), (1, 2, 0)]
+    for principle in (DELTA_STAR, SEQUENTIAL_FIXED, FIRST_COORDINATE):
+        together = check_A2_permutations(principle, fn, perms, pts(3, 12))
+        assert together == [check_A2_permutation(principle, fn, p, pts(3, 12)) for p in perms]
+    assert check_A2_permutations(DELTA_STAR, fn, [], pts(3, 12)) == []
+
+
+def test_a2_over_several_permutations_raises_the_first_error_of_one_by_one_checks():
+    # undefined where x2 is 0 and x1 is not: for sequential at (1, 2), the
+    # right-hand side of (1, 0) fails at (2, 0) before the left-hand side of
+    # (0, 1) fails at (1, 0); for delta-star the left-hand side of (1, 0)
+    # fails first
+    def f(y):
+        if y[1] == 0.0 and y[0] != 0.0:
+            raise EvaluationError(f"undefined at {y}")
+        return y[0] * y[1]
+
+    fn = NativeFunction(f, 2)
+    for principle, where in ((SEQUENTIAL_FIXED, "(2.0, 0.0)"), (DELTA_STAR, "(2.0, 0.0)"),
+                             (FIRST_COORDINATE, "(1.0, 0.0)")):
+        with pytest.raises(EvaluationError, match=re.escape(f"undefined at {where}")):
+            check_A2_permutations(principle, fn, [(1, 0), (0, 1)], [(1.0, 2.0), (1.0, 0.0)])
+        with pytest.raises(EvaluationError, match=re.escape(f"undefined at {where}")):
+            for perm in [(1, 0), (0, 1)]:
+                check_A2_permutation(principle, fn, perm, [(1.0, 2.0), (1.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +431,24 @@ def test_non_finite_contributions_keep_the_worst_and_failing_witnesses(order, wo
     ]
 
 
+_contribution = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]),
+                          st.floats(-10.0, 10.0))
+
+
+@given(st.lists(st.lists(_contribution, min_size=6, max_size=6), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_array_gaps_and_verdicts_follow_python_max(rows):
+    # the loop form, as game_axioms keeps it, is the reference
+    a, b = np.array(rows)[:, :3], np.array(rows)[:, 3:]
+    want = [game_axioms._gap(x, y) / (1.0 + max(abs(v) for v in (*x, *y)))
+            for x, y in zip(a.tolist(), b.tolist())]
+    got = axioms._gap(a, b, a, b)
+    assert np.array_equal(got, want, equal_nan=True)
+    reference = game_axioms._verdict("A2", [(str(k), v) for k, v in enumerate(want)], 0.5)
+    verdict = axioms._verdict("A2", got, 0.5, str)
+    assert json.dumps(verdict.to_json_dict()) == json.dumps(reference.to_json_dict())
+
+
 # ---------------------------------------------------------------------------
 # Game axioms
 
@@ -475,7 +546,7 @@ def test_polynomial_generation_is_fast_in_high_dimension():
 
 
 def test_polynomial_exponents_are_uniform_over_admissible_vectors():
-    terms = Counter(axioms.random_polynomial(2, seed=k, degree=2, n_terms=1).label.split(" * ", 1)[1]
+    terms = Counter(random_polynomial(2, seed=k, degree=2, n_terms=1).label.split(" * ", 1)[1]
                     for k in range(3000))
     assert set(terms) == {"x1^1", "x2^1", "x1^2", "x1^1 * x2^1", "x2^2"}
     assert all(abs(count - 600) < 90 for count in terms.values())  # > 4 SD

@@ -460,8 +460,27 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
      "degree must be an integer of at least 0, got -1"),
     ({"d": 3, "families": [{"family": "example2", "params": {"discount_rate": 1.5}}]},
      "discount_rate and threshold must be given both or neither"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"coefficient_range": 5}}]},
+     "coefficient_range must be a list of 2 numbers, got 5"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"coefficient_range": [1]}}]},
+     "coefficient_range must be a list of 2 numbers, got [1]"),
+    ({"d": 2, "families": [{"family": "polynomial",
+                            "params": {"coefficient_range": [-1, "3"]}}]},
+     "coefficient_range[1] must be a finite number, got '3'"),
+    ({"d": 2, "families": [{"family": "step_function", "params": {"grid": ["a", 1]}}]},
+     "grid[0] must be a finite number, got 'a'"),
+    ({"d": 2, "families": [{"family": "step_function", "params": {"grid": [0.5, True]}}]},
+     "grid[1] must be a finite number, got True"),
+    ({"d": 2, "families": [{"family": "polynomial", "count": 1},
+                           {"family": "monomial", "params": {"q": [1]}}]},
+     "q must be a list of d = 2 entries, got [1]"),
+    ({"d": 2, "families": [{"family": "mystery"}]},
+     "unknown corpus family 'mystery'"),
 ])
 def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
+    if "families" in spec and not message.startswith("corpus spec"):
+        # an error in a family's parameters names the entry, here the last one
+        message = f"corpus spec families[{len(spec['families']) - 1}]: {message}"
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "axioms", str(path))

