@@ -791,6 +791,8 @@ def test_evaluate_table_raises_the_first_error_in_point_order():
         # the second point fails before the third is found not to be a point
         with pytest.raises(expr.EvaluationError, match=r"ln of non-positive value -1\.0"):
             fn.evaluate_table(as_input([(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)]), range(4))
+        with pytest.raises(core.NonFiniteCoordinateError):
+            fn.evaluate_table(as_input([(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)]), range(4))
         with pytest.raises(core.NonFiniteCoordinateError,
                            match=r"^coordinate 2 is not finite: inf$"):
             fn.evaluate_table(as_input([(1.0, 2.0), (2.0, math.inf), (-2.0, 1.0)]), range(4))
