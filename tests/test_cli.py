@@ -673,3 +673,42 @@ def test_default_axiom_suites_match_recorded_output(capsys):
         digest.update(f"{code}\n{out}\n{err}\n".encode())
     assert digest.hexdigest() == (
         "e2e34b43f2793f5053bd92a27550cb3e54a515de47ada34ae58eb300ae979cee")
+
+
+def test_points_tables_and_sampling_runs_match_recorded_output(capsys, tmp_path):
+    # the paths the digests above skip: many points for every exact method
+    # and for sampling, a masked table, auto above the exact cap, and the
+    # worker count, which changes no byte
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2,x3\n1,2,3\n-0.5,0.25,2\n0,1.5,-1\n0.125,-3,0.5\n")
+    f = "x1*x2*x3 + ln(1 + x1^2) + x2*exp(x3) - x2"
+    exact = [("--method", "sequential", "--perm", "3,1,2"), ("--method", "as"),
+             ("--method", "pointwise"), ("--method", "delta-star")]
+    runs = [("decompose", "-d", "3", "-f", f, "--points-csv", str(points), *method,
+             "--format", out_format)
+            for method in exact for out_format in ("table", "json", "csv")]
+    runs.append(("decompose", "-d", "3", "-f", f, "--points-csv", str(points),
+                 "--method", "mc", "--samples", "300", "--seed", "3", "--format", "json"))
+    table = tmp_path / "table.csv"
+    runs.append(("decompose", "-d", "3", "-f", "(x1+2)*(x2-1)*(x3+0.5)", "-x", "0.5,-1.5,2",
+                 "--dump-table", str(table)))
+    runs += [("decompose", "-d", "3", "--table-csv", str(table), "-x", "0.5,-1.5,2", *method)
+             for method in (("--method", "delta-star"), ("--method", "sequential", "--perm",
+                                                          "2,3,1"))]
+    d22 = " + ".join(f"x{i}*x{i % 22 + 1}" for i in range(1, 23)) + " + 0.5*x1*x7*x13 + 2"
+    runs.append(("decompose", "-d", "22", "-f", d22, "--samples", "200", "--seed", "8",
+                 "--point=" + ",".join(str((5 * i) % 9 / 4 - 1) for i in range(22))))
+    mc = ("decompose", "-d", "3", "-f", f, "-x", "1.5,-2,0.75", "--method", "mc",
+          "--samples", "500", "--seed", "21")
+    runs += [(*mc, "--workers", workers) for workers in ("1", "4", "0")]
+    digest = hashlib.sha256()
+    outputs = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        outputs.append((code, out, err))
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    digest.update(table.read_bytes())
+    assert outputs[-3] == outputs[-2] and outputs[-3][0] == 0
+    assert outputs[-1] == (2, "", "error: need at least 1 worker, got 0\n")
+    assert digest.hexdigest() == (
+        "bcde7786d794251f995bbb7cdd89624a9f6ad0b7fb12e4f33ad367553cf3c775")
