@@ -108,10 +108,11 @@ def _first_coordinate(fn: FunctionHandle, points: Sequence[Sequence[float]]) -> 
     return out
 
 
-DELTA_STAR = Principle("delta-star", lambda fn, xs: decomp.delta_star_arrays(fn, xs)[0])
-AS_SUBSET = Principle("as-subset", lambda fn, xs: decomp.as_subset_arrays(fn, xs)[0],
+DELTA_STAR = Principle("delta-star", lambda fn, xs: decomp.delta_star_arrays(fn, xs).contributions)
+AS_SUBSET = Principle("as-subset", lambda fn, xs: decomp.as_subset_arrays(fn, xs).contributions,
                       requires_zero_origin=True)
-SEQUENTIAL_FIXED = Principle("sequential", lambda fn, xs: decomp.sequential_arrays(fn, xs)[0],
+SEQUENTIAL_FIXED = Principle("sequential",
+                             lambda fn, xs: decomp.sequential_arrays(fn, xs).contributions,
                              requires_zero_origin=True)
 FIRST_COORDINATE = Principle("first-coordinate", _first_coordinate)
 

@@ -31,6 +31,7 @@ from .core import (
     mask_from_indices,
     permutation_from_ranks,
     project,
+    validate_dimension,
 )
 from .expr import EvaluationError, ExpressionFunction, FunctionHandle, ParseError, TableFunction
 from .game import GameFormatError, game_from_json, shapley
@@ -170,6 +171,7 @@ def _read_mask_table(path: str, d: int) -> dict[int, float]:
 
 
 def _dump_mask_table(path: str, fn: FunctionHandle, x: Sequence[float]) -> None:
+    validate_dimension(fn.d, EXACT_SUBSET_CAP)
     values = fn.evaluate_masks(x, np.arange(1 << fn.d)).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -182,13 +184,16 @@ def _dump_mask_table(path: str, fn: FunctionHandle, x: Sequence[float]) -> None:
 # Report rendering
 
 
-def _result_row(res: decomp.DecompositionResult) -> dict:
-    return {
-        "x": list(res.x),
-        "contributions": list(res.contributions),
-        "total": res.total,
-        "residual": res.residual,
-    }
+def _rows(points: Sequence[Sequence[float]], contributions: Sequence[Sequence[float]],
+          totals: Sequence[float], errors: Sequence[Sequence[float]] | None = None) -> list[dict]:
+    """One report row per point; ``errors`` are a sampled method's standard errors."""
+    rows = []
+    for k, (x, c, total) in enumerate(zip(points, np.asarray(contributions).tolist(),
+                                          np.asarray(totals).tolist())):
+        se = {} if errors is None else {"standard_error": list(errors[k])}
+        rows.append({"x": list(x), "contributions": c, **se,
+                     "total": total, "residual": abs(total - math.fsum(c))})
+    return rows
 
 
 def _decomposition_header(d: int, has_se: bool) -> list[str]:
@@ -267,39 +272,26 @@ def _resolve_method(method: str, d: int) -> str:
 
 
 def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method: str,
-                    args: argparse.Namespace) -> tuple[dict, list[dict]]:
-    d = fn.d
-    meta: dict = {"method": method, "d": d, "function": getattr(fn, "label", "?")}
+                    args: argparse.Namespace) -> tuple[str, list[dict]]:
+    """The method's label and one report row per point."""
     if method in ("mc", "mc-delta-star"):
+        if args.workers < 1:
+            raise ValueError(f"need at least 1 worker, got {args.workers}")
         estimator = (montecarlo.estimate_as if method == "mc"
                      else montecarlo.estimate_delta_star)
         name = "monte_carlo" if method == "mc" else "monte_carlo_delta_star"
-        rows = []
-        for x in points:
-            report = estimator(fn, x, args.samples, args.seed, workers=args.workers)
-            total = fn(x)
-            rows.append({
-                "x": list(x),
-                "contributions": list(report.estimate),
-                "standard_error": list(report.standard_error),
-                "total": total,
-                "residual": abs(total - report.total),
-            })
-            meta.update({"method": f"{name}(seed={report.seed}, n={report.n_samples})"})
-        return meta, rows
+        # an estimate evaluates F(x), so it fails first wherever fn(x) would
+        reports = [estimator(fn, x, args.samples, args.seed) for x in points]
+        label = f"{name}(seed={reports[-1].seed}, n={reports[-1].n_samples})"
+        return label, _rows(points, [r.estimate for r in reports], [fn(x) for x in points],
+                           [r.standard_error for r in reports])
     if method == "sequential":
         perm = permutation_from_ranks(_parse_ranks(args.perm)) if args.perm else None
-        results = decomp.sequential_many(fn, points, perm)
-    elif method == "as":
-        results = decomp.as_subset_many(fn, points)
-    elif method == "pointwise":
-        results = decomp.pointwise_shapley_many(fn, points)
-    elif method == "delta-star":
-        results = decomp.delta_star_many(fn, points)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    meta["method"] = results[-1].method
-    return meta, [_result_row(res) for res in results]
+        result = decomp.sequential_arrays(fn, points, perm)
+    else:  # the parser allows no other method
+        result = {"as": decomp.as_subset_arrays, "pointwise": decomp.pointwise_shapley_arrays,
+                  "delta-star": decomp.delta_star_arrays}[method](fn, points)
+    return result.method, _rows(points, result.contributions, result.totals)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -334,15 +326,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise TableFormatError(str(exc)) from None
 
     method = _resolve_method(args.method, d)
+    if args.perm and method != "sequential":
+        raise ValueError("--perm needs --method sequential")
 
     if args.dump_table:
         if not args.function:
             raise ValueError("--dump-table needs an expression function")
         _dump_mask_table(args.dump_table, fn, points[0])
 
-    meta, rows = _decompose_rows(fn, points, method, args)
+    label, rows = _decompose_rows(fn, points, method, args)
     if invalid is not None:
         raise invalid
+    meta = {"method": label, "d": d, "function": getattr(fn, "label", "?")}
     _write_output(_render_decomposition(meta, rows, args.format), args.output)
     worst = max(row["residual"] for row in rows)
     return EXIT_OK if worst <= args.tol else EXIT_FAIL
@@ -427,13 +422,14 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 def cmd_example1(args: argparse.Namespace) -> int:
     fn = axioms.example1_function(args.s0, args.c0)
     x = _parse_point(args.point)
-    res = decomp.delta_star(fn, x)
+    result = decomp.delta_star_arrays(fn, [x])
     reference = axioms.example1_closed_form(args.s0, args.c0, x)
-    meta = {"method": res.method, "d": 2, "function": fn.label}
-    rows = [{**_result_row(res), "reference": list(reference)}]
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
-    dev = max(abs(a - b) for a, b in zip(res.contributions, reference))
-    return EXIT_OK if dev <= args.tol and res.residual <= args.tol else EXIT_FAIL
+    meta = {"method": result.method, "d": 2, "function": fn.label}
+    [row] = _rows([x], result.contributions, result.totals)
+    row["reference"] = list(reference)
+    _write_output(_render_decomposition(meta, [row], args.format), args.output)
+    dev = max(abs(a - b) for a, b in zip(row["contributions"], reference))
+    return EXIT_OK if dev <= args.tol and row["residual"] <= args.tol else EXIT_FAIL
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
@@ -441,11 +437,12 @@ def cmd_example2(args: argparse.Namespace) -> int:
     d = len(readings)
     fn = axioms.example2_function(d, args.base, args.rate,
                                   args.discount_rate, args.threshold)
-    res = decomp.delta_star(fn, x=readings)
-    meta = {"method": res.method, "d": d, "function": fn.label,
+    result = decomp.delta_star_arrays(fn, [readings])
+    meta = {"method": result.method, "d": d, "function": fn.label,
             "fixed_cost_per_head": _round_sig(fn((0.0,) * d) / d)}
-    _write_output(_render_decomposition(meta, [_result_row(res)], args.format), args.output)
-    return EXIT_OK if res.residual <= args.tol else EXIT_FAIL
+    rows = _rows([readings], result.contributions, result.totals)
+    _write_output(_render_decomposition(meta, rows, args.format), args.output)
+    return EXIT_OK if rows[0]["residual"] <= args.tol else EXIT_FAIL
 
 
 def cmd_example3(args: argparse.Namespace) -> int:
@@ -453,9 +450,9 @@ def cmd_example3(args: argparse.Namespace) -> int:
                                     args.seed, loading=args.loading)
     fn = model.movement_function()
     x = _parse_point(args.point) if args.point else (0.1,) * args.factors
-    res = decomp.delta_star(fn, x)
+    result = decomp.delta_star_arrays(fn, [x])
     meta = {
-        "method": res.method,
+        "method": result.method,
         "d": args.factors,
         "function": "tail-quantile movement (99.5%)",
         "portfolio": args.portfolio,
@@ -463,8 +460,9 @@ def cmd_example3(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "baseline_var": _round_sig(model.baseline),
     }
-    _write_output(_render_decomposition(meta, [_result_row(res)], args.format), args.output)
-    return EXIT_OK if res.residual <= args.tol else EXIT_FAIL
+    rows = _rows([x], result.contributions, result.totals)
+    _write_output(_render_decomposition(meta, rows, args.format), args.output)
+    return EXIT_OK if rows[0]["residual"] <= args.tol else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

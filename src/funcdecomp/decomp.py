@@ -3,9 +3,10 @@ average over all orders, the equivalent subset-weighted form, the extension
 to functions that do not vanish at the origin, and the per-point Shapley
 construction.
 
-Every method decomposes n points into an (n, d) array of contributions
-and an (n,) array of totals; ``delta_star_many`` and the like give one
-result per point, and the one-point functions are their one-point case.
+Every method has one multi-point form, ``delta_star_arrays`` and the
+like, which decomposes n points into a `Decomposition`: an (n, d) array of
+contributions, an (n,) array of totals and the method's label.  The
+one-point functions (``delta_star`` ...) are its n = 1 case.
 F is evaluated only on the projected family {p_I(x)}: F(0) once where the
 method checks it, then one ``evaluate_table`` call per group of points
 over the masks of one activation order or all 2^d masks, each group's
@@ -18,7 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .core import (
     permutation_average_marginals,
     ranks_from_permutation,
     validate_dimension,
+    validate_permutation,
 )
 from .expr import FunctionHandle
 
@@ -59,7 +61,20 @@ class DecompositionResult:
         return abs(self.total - math.fsum(self.contributions))
 
 
-Arrays = tuple[np.ndarray, np.ndarray]  # contributions (n, d) and totals (n,)
+class Decomposition(NamedTuple):
+    """A method's contributions (n, d) and totals (n,) at n points."""
+
+    contributions: np.ndarray
+    totals: np.ndarray
+    method: str
+
+
+def _one_point(arrays: Callable[..., Decomposition], fn: FunctionHandle,
+               x: Sequence[float], *args) -> DecompositionResult:
+    """The ``arrays`` form of a method at the one point ``x``."""
+    result = arrays(fn, [x], *args)
+    return DecompositionResult(tuple(map(float, x)), tuple(result.contributions[0].tolist()),
+                               float(result.totals[0]), result.method)
 
 
 def _checked(fn: FunctionHandle, points: Iterable[Sequence[float]],
@@ -90,9 +105,9 @@ def _require_zero_origin(fn: FunctionHandle, points: Sequence, method: str) -> f
     return v0
 
 
-def _decompose(fn: FunctionHandle, points: Sequence,
+def _decompose(fn: FunctionHandle, points: Sequence, method: str,
                combine: Callable[[np.ndarray], np.ndarray],
-               masks: Sequence[int] | None = None) -> Arrays:
+               masks: Sequence[int] | None = None) -> Decomposition:
     """One row per point: the contributions ``combine`` makes of the
     point's row of the table of F at ``project(x, m)`` over ``masks``
     (all 2^d masks if None), and the row's last value as the total.
@@ -114,25 +129,18 @@ def _decompose(fn: FunctionHandle, points: Sequence,
         contributions[start:start + len(table)] = combine(table)
         totals[start:start + len(table)] = table[:, -1]
         del table  # before the next group's table is built
-    return contributions, totals
-
-
-def _results(points: Sequence, arrays: Arrays, method: str) -> list[DecompositionResult]:
-    """The arrays of a method as one result per point, at valid ``points``."""
-    contributions, totals = arrays
-    return [DecompositionResult(tuple(map(float, x)), tuple(c), total, method)
-            for x, c, total in zip(points, contributions.tolist(), totals.tolist())]
+    return Decomposition(contributions, totals, method)
 
 
 def sequential_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]],
-                      perm: Permutation | None = None) -> Arrays:
+                      perm: Permutation | None = None) -> Decomposition:
     """`sequential` at each of the points: F(0) once, then d evaluations
     per point."""
     d = fn.d
-    if perm is None:
-        perm = identity_permutation(d)
+    perm = identity_permutation(d) if perm is None else perm
     if len(perm) != d:
         raise DimensionMismatchError(f"permutation length {len(perm)} != d {d}")
+    validate_permutation(perm)
     points = _checked(fn, points, cap=None)  # d evaluations per point: no cap needed
     v0 = _require_zero_origin(fn, points, "sequential")
     order = list(inverse_permutation(perm))  # coordinate activated at each step
@@ -143,16 +151,7 @@ def sequential_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]],
         contributions[:, order] = np.diff(table, axis=1, prepend=v0)
         return contributions
 
-    return _decompose(fn, points, steps, chain)
-
-
-def sequential_many(fn: FunctionHandle, points: Iterable[Sequence[float]],
-                    perm: Permutation | None = None) -> list[DecompositionResult]:
-    """`sequential_arrays` as one result per point."""
-    points = list(points)
-    arrays = sequential_arrays(fn, points, perm)
-    ranks = ranks_from_permutation(identity_permutation(fn.d) if perm is None else perm)
-    return _results(points, arrays, f"sequential{ranks}")
+    return _decompose(fn, points, f"sequential{ranks_from_permutation(perm)}", steps, chain)
 
 
 def sequential(fn: FunctionHandle, x: Sequence[float],
@@ -164,11 +163,10 @@ def sequential(fn: FunctionHandle, x: Sequence[float],
     value one at a time in rank order, and each coordinate is credited
     with the change it causes.  Exactly d+1 function evaluations.
     """
-    return sequential_many(fn, [x], perm)[0]
+    return _one_point(sequential_arrays, fn, x, perm)
 
 
-def as_permutation_many(fn: FunctionHandle,
-                        points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+def as_permutation_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Decomposition:
     """`as_permutation` at each of the points."""
     points = _checked(fn, points, EXACT_PERMUTATION_CAP)
     _require_zero_origin(fn, points, "as_permutation")
@@ -176,27 +174,21 @@ def as_permutation_many(fn: FunctionHandle,
     def enumerate_orders(table: np.ndarray) -> np.ndarray:
         return np.array([permutation_average_marginals(row, fn.d) for row in table])
 
-    return _results(points, _decompose(fn, points, enumerate_orders), "as_permutation")
+    return _decompose(fn, points, "as_permutation", enumerate_orders)
 
 
 def as_permutation(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Averaged sequential contributions: the exact mean of `sequential`
     over all d! activation orders, via full enumeration."""
-    return as_permutation_many(fn, [x])[0]
+    return _one_point(as_permutation_arrays, fn, x)
 
 
-def as_subset_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Arrays:
+def as_subset_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Decomposition:
     """`as_subset` at each of the points, one kernel call per group."""
     points = _checked(fn, points, EXACT_SUBSET_CAP)
     _require_zero_origin(fn, points, "as_subset")
-    return _decompose(fn, points, lambda table: game_mod.weighted_marginals(table, fn.d))
-
-
-def as_subset_many(fn: FunctionHandle,
-                   points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
-    """`as_subset_arrays` as one result per point."""
-    points = list(points)
-    return _results(points, as_subset_arrays(fn, points), "as_subset")
+    return _decompose(fn, points, "as_subset",
+                      lambda table: game_mod.weighted_marginals(table, fn.d))
 
 
 def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -204,24 +196,17 @@ def as_subset(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     coordinate sums its weighted switch-on differences F(p_I x) - F(p_{I-i} x)
     over the subsets containing it.  Equal to `as_permutation` without
     enumerating orderings (2^d instead of d! terms)."""
-    return as_subset_many(fn, [x])[0]
+    return _one_point(as_subset_arrays, fn, x)
 
 
-def delta_star_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Arrays:
+def delta_star_arrays(fn: FunctionHandle, points: Iterable[Sequence[float]]) -> Decomposition:
     """`delta_star` at each of the points, one kernel call per group."""
     points = _checked(fn, points, EXACT_SUBSET_CAP)
 
     def split(table: np.ndarray) -> np.ndarray:
         return table[:, :1] / fn.d + game_mod.weighted_marginals(table, fn.d)
 
-    return _decompose(fn, points, split)
-
-
-def delta_star_many(fn: FunctionHandle,
-                    points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
-    """`delta_star_arrays` as one result per point."""
-    points = list(points)
-    return _results(points, delta_star_arrays(fn, points), "delta_star")
+    return _decompose(fn, points, "delta_star", split)
 
 
 def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
@@ -229,11 +214,11 @@ def delta_star(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     origin value is split evenly across the d coordinates and the rest is
     attributed like `as_subset`.  Restricted to functions vanishing at the
     origin this coincides with the averaged sequential decomposition."""
-    return delta_star_many(fn, [x])[0]
+    return _one_point(delta_star_arrays, fn, x)
 
 
-def pointwise_shapley_many(fn: FunctionHandle,
-                           points: Iterable[Sequence[float]]) -> list[DecompositionResult]:
+def pointwise_shapley_arrays(fn: FunctionHandle,
+                             points: Iterable[Sequence[float]]) -> Decomposition:
     """`pointwise_shapley` at each of the points, one kernel call per group."""
     points = _checked(fn, points, EXACT_SUBSET_CAP)
     game_mod.check_empty_coalition(_origin_value(fn, points))
@@ -244,11 +229,11 @@ def pointwise_shapley_many(fn: FunctionHandle,
         table[:, 0] = 0.0
         return game_mod.weighted_marginals(table, fn.d)
 
-    return _results(points, _decompose(fn, points, allocate), "pointwise_shapley")
+    return _decompose(fn, points, "pointwise_shapley", allocate)
 
 
 def pointwise_shapley(fn: FunctionHandle, x: Sequence[float]) -> DecompositionResult:
     """Per-point game construction: restrict F to the binary activation
     pattern of x (coalition S -> F(p_S x)), read that as a game, and
     allocate with the classical Shapley value."""
-    return pointwise_shapley_many(fn, [x])[0]
+    return _one_point(pointwise_shapley_arrays, fn, x)

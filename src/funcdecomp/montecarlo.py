@@ -5,8 +5,7 @@ Activation orders are drawn uniformly from counter-based random streams:
 the orders of sample chunk ``c`` of a run with seed ``s`` always come from the
 stream ``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.
 Chunks only key the streams: F is evaluated once at every distinct prefix
-mask of all the drawn orders.  Everything runs in one thread; ``workers`` is
-accepted for compatibility and changes neither the result nor the speed.
+mask of all the drawn orders.  Everything runs in one thread.
 """
 
 from __future__ import annotations
@@ -79,15 +78,13 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
-def _validate(fn: FunctionHandle, x: Sequence[float], n: int, workers: int) -> Point:
+def _validate(fn: FunctionHandle, x: Sequence[float], n: int) -> Point:
     point = as_point(x, fn.d)
     validate_dimension(fn.d, MASK_DIMENSION_CAP)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"the sample count n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n}")
-    if workers < 1:
-        raise ValueError(f"need at least 1 worker, got {workers}")
     return point
 
 
@@ -95,17 +92,15 @@ def _report(estimate: np.ndarray, se: np.ndarray, n: int, seed: int) -> Estimato
     return EstimatorReport(tuple(estimate.tolist()), tuple(se.tolist()), n, seed)
 
 
-def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
-                workers: int = 1) -> EstimatorReport:
+def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int) -> EstimatorReport:
     """Estimate the averaged sequential contributions from ``n`` uniformly
     sampled activation orders.
 
     Requires the function to vanish at the origin, ``n >= 2`` (a single
     sample has no variance estimate) and ``d <= MASK_DIMENSION_CAP``.
-    Fixed ``(fn, x, n, seed)`` gives a bitwise-identical report for any
-    ``workers`` count.
+    Fixed ``(fn, x, n, seed)`` gives a bitwise-identical report.
     """
-    point = _validate(fn, x, n, workers)
+    point = _validate(fn, x, n)
     base = fn((0.0,) * fn.d)
     if abs(base) > ORIGIN_TOLERANCE:
         raise NonzeroOriginError(
@@ -117,8 +112,8 @@ def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
     return _report(estimate, se, n, seed)
 
 
-def estimate_delta_star(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
-                        workers: int = 1) -> EstimatorReport:
+def estimate_delta_star(fn: FunctionHandle, x: Sequence[float], n: int,
+                        seed: int) -> EstimatorReport:
     """Sampled counterpart of `delta_star`: F(0) is split evenly across the
     d coordinates, and the change from F(0) to F(x) is attributed like
     `estimate_as`.  The standard errors are those of that second part.
@@ -126,7 +121,7 @@ def estimate_delta_star(fn: FunctionHandle, x: Sequence[float], n: int, seed: in
     Same requirements as `estimate_as`, except that F need not vanish at
     the origin.
     """
-    point = _validate(fn, x, n, workers)
+    point = _validate(fn, x, n)
     base = fn((0.0,) * fn.d)
     seed = int(seed)
     estimate, se = _sample(fn, point, base, n, seed)

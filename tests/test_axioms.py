@@ -70,7 +70,7 @@ def test_principles_give_one_float_row_per_point():
         assert g.dtype == np.float64 and g.shape == (7, 3)
         assert principle.decompose(fn, [tuple(x) for x in points]).tobytes() == g.tobytes()
         assert principle(fn, points[2]) == tuple(g[2].tolist())
-    results = decomp.delta_star_many(fn, points)
+    results = [decomp.delta_star(fn, x) for x in points]
     assert DELTA_STAR.decompose(fn, points).tolist() == [list(r.contributions) for r in results]
 
 

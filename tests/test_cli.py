@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -64,6 +65,13 @@ def test_decompose_sequential_with_order(capsys):
         "--method", "sequential", "--perm", "2,1")
     assert code == 0
     assert payload["rows"][0]["contributions"] == [8.0, 0.0]
+
+
+def test_perm_needs_the_sequential_method(capsys):
+    for method in (("--method", "as"), ("--method", "delta-star"), ()):
+        code, out, err = run(capsys, "decompose", "-d", "3", "-f", "x1*x2*x3", "-x", "1,2,3",
+                             *method, "--perm", "2,1,3")
+        assert (code, out, err) == (2, "", "error: --perm needs --method sequential\n")
 
 
 def test_decompose_method_auto_resolves_to_delta_star(capsys):
@@ -249,6 +257,14 @@ def test_table_round_trip_is_byte_identical(capsys, tmp_path):
     direct, relayed = dump_and_reload(
         capsys, tmp_path, 3, "x1*x2*x3 - 0.25*x2 + exp(x3) - 1", "0.7,-1.3,0.9")
     assert direct == relayed
+
+
+def test_dump_table_is_capped_before_evaluating(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    code, out, err = run(capsys, "decompose", "-d", "21", "-f", "x1*x21",
+                         "-x", ",".join(["1"] * 21), "--samples", "10", "--dump-table", str(table))
+    assert (code, out, err) == (2, "", "error: dimension 21 exceeds the cap 20 of this method\n")
+    assert not table.exists()
 
 
 def test_exit_code_3_on_incomplete_table(capsys, tmp_path):
@@ -712,3 +728,22 @@ def test_points_tables_and_sampling_runs_match_recorded_output(capsys, tmp_path)
     assert outputs[-1] == (2, "", "error: need at least 1 worker, got 0\n")
     assert digest.hexdigest() == (
         "bcde7786d794251f995bbb7cdd89624a9f6ad0b7fb12e4f33ad367553cf3c775")
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # perfbench/tracing.py patches these names for --trace 1; a rename in the
+    # package must fail here rather than in a traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for _, module, cls, attr in tracing.PATCHES:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), f"{module} {cls or ''} has no {attr}"

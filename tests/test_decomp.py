@@ -105,8 +105,12 @@ def test_origin_is_checked_before_the_other_projections():
 
 
 def test_sequential_validates_permutation_length():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"permutation length 3 != d 2"):
         decomp.sequential(F_PROD_PLUS, (1.0, 1.0), (0, 1, 2))
+    # orders of the right length that are not permutations
+    for perm in ((0, 0), (5, 0)):
+        with pytest.raises(DimensionMismatchError, match=r"not a permutation of 0\.\.1"):
+            decomp.sequential(F_PROD_PLUS, (1.0, 1.0), perm)
 
 
 def test_sequential_telescopes_exactly():
@@ -389,13 +393,19 @@ def test_four_routes_to_delta_star_agree_and_dividends_find_the_dummies(case):
         assert dummy == all(v == 0.0 for s, v in dividends.items() if i in s)
 
 
-MANY = [
-    (decomp.sequential_many, decomp.sequential),
-    (decomp.as_permutation_many, decomp.as_permutation),
-    (decomp.as_subset_many, decomp.as_subset),
-    (decomp.delta_star_many, decomp.delta_star),
-    (decomp.pointwise_shapley_many, decomp.pointwise_shapley),
+ARRAYS = [
+    (decomp.sequential_arrays, decomp.sequential),
+    (decomp.as_permutation_arrays, decomp.as_permutation),
+    (decomp.as_subset_arrays, decomp.as_subset),
+    (decomp.delta_star_arrays, decomp.delta_star),
+    (decomp.pointwise_shapley_arrays, decomp.pointwise_shapley),
 ]
+
+
+def one_point_rows(results):
+    """One-point results as the contributions, totals and method of an array form."""
+    return ([list(r.contributions) for r in results], [r.total for r in results],
+            results[0].method)
 
 
 def test_many_points_give_the_one_point_results(monkeypatch):
@@ -404,38 +414,44 @@ def test_many_points_give_the_one_point_results(monkeypatch):
     monkeypatch.setattr(expr, "MASK_BLOCK", 4096)
     fn = ExpressionFunction("x1*x2*x3 - x2^2 + exp(x3/3) - 1", 3)
     points = rand_points(3, expr.MASK_BLOCK // 8 + 88, seed=29)  # two blocks of evaluate_table
-    for many, one in MANY:
-        assert many(fn, points) == [one(fn, x) for x in points]
-        assert many(fn, []) == []
+    for arrays, one in ARRAYS:
+        contributions, totals, method = arrays(fn, points)
+        assert contributions.dtype == totals.dtype == np.float64
+        assert (contributions.tolist(), totals.tolist(), method) == one_point_rows(
+            [one(fn, x) for x in points])
+        empty = arrays(fn, [])
+        assert empty.contributions.shape == (0, 3) and empty.totals.shape == (0,)
     perm = permutation_from_ranks((3, 1, 2))
-    assert decomp.sequential_many(fn, points, perm) == [decomp.sequential(fn, x, perm)
-                                                        for x in points]
+    contributions, totals, method = decomp.sequential_arrays(fn, points, perm)
+    assert (contributions.tolist(), totals.tolist(), method) == one_point_rows(
+        [decomp.sequential(fn, x, perm) for x in points])
+    assert method == "sequential(3, 1, 2)"
 
 
 def test_sequential_many_evaluates_the_origin_once():
     fn, calls = counting(ExpressionFunction("x1*x2*x3 + x2", 3))
-    decomp.sequential_many(fn, rand_points(3, 5, seed=1))
+    decomp.sequential_arrays(fn, rand_points(3, 5, seed=1))
     assert len(calls) == 1 + 5 * 3
 
 
 def test_many_points_raise_the_first_error_in_point_order():
     domain = ExpressionFunction("ln(x1 + 1) * x2", 2)
     with pytest.raises(EvaluationError, match=r"ln of non-positive value -1\.0"):
-        decomp.delta_star_many(domain, [(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)])
+        decomp.delta_star_arrays(domain, [(1.0, 2.0), (-2.0, 1.0), (math.nan, 1.0)])
     with pytest.raises(NonFiniteCoordinateError):
-        decomp.delta_star_many(domain, [(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)])
+        decomp.delta_star_arrays(domain, [(1.0, 2.0), (math.nan, 1.0), (-2.0, 1.0)])
     # a bad first point is reported before the dimension cap, as for one point
     huge = NativeFunction(lambda x: sum(x), 21, label="sum21")
     with pytest.raises(NonFiniteCoordinateError):
-        decomp.delta_star_many(huge, [(math.nan,) + (0.0,) * 20])
+        decomp.delta_star_arrays(huge, [(math.nan,) + (0.0,) * 20])
     # F(0) = 1 is checked before the second point's domain error
     shifted = ExpressionFunction("1 + ln(x1 + 1) * x2", 2)
-    for many, _ in MANY:
-        if many is not decomp.delta_star_many:
+    for arrays, _ in ARRAYS:
+        if arrays is not decomp.delta_star_arrays:
             with pytest.raises(NonzeroOriginError):
-                many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
+                arrays(shifted, [(1.0, 2.0), (-2.0, 1.0)])
     with pytest.raises(EvaluationError):
-        decomp.delta_star_many(shifted, [(1.0, 2.0), (-2.0, 1.0)])
+        decomp.delta_star_arrays(shifted, [(1.0, 2.0), (-2.0, 1.0)])
 
 
 def test_each_point_is_validated_once(monkeypatch):
@@ -449,12 +465,13 @@ def test_each_point_is_validated_once(monkeypatch):
         monkeypatch.setattr(mod, "as_point", counted)
     fn = ExpressionFunction("x1*x2 + x3 + 1", 3)
     points = [np.array(x) for x in rand_points(3, 5, seed=3)]
-    results = decomp.delta_star_many(fn, points)
+    decomp.delta_star_arrays(fn, points)
     # the first point before the dimension cap, then each point once in
     # evaluate_table; two per point and one more made 11
     assert len(calls) <= 6
-    assert [r.x for r in results] == [core.as_point(x) for x in points]
-    assert all(type(c) is float for r in results for c in r.x)
+    for x in points:
+        res = decomp.delta_star(fn, x)
+        assert res.x == core.as_point(x) and all(type(c) is float for c in res.x)
 
 
 def test_many_points_hold_at_most_two_groups_of_the_table():
@@ -464,13 +481,15 @@ def test_many_points_hold_at_most_two_groups_of_the_table():
     points = rand_points(d, 64, seed=31)
     tracemalloc.start()
     try:
-        results = decomp.delta_star_many(fn, points)
+        result = decomp.delta_star_arrays(fn, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * (1 << decomp.EXACT_SUBSET_CAP)  # all 64 rows would be 32 MiB
     for k in (0, 15, 16, 63):
-        assert results[k] == decomp.delta_star(fn, points[k])
+        one = decomp.delta_star(fn, points[k])
+        assert result.contributions[k].tolist() == list(one.contributions)
+        assert result.totals[k] == one.total
 
 
 def test_dimension_caps_enforced():

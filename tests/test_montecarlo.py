@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from funcdecomp import decomp, montecarlo
+from funcdecomp import cli, decomp, montecarlo
 from funcdecomp.core import DimensionMismatchError, NonzeroOriginError
 from funcdecomp.expr import ExpressionFunction, NativeFunction
 
@@ -49,12 +49,19 @@ def test_deterministic_for_fixed_seed():
     assert c.estimate != a.estimate
 
 
-def test_worker_count_does_not_change_the_report():
-    fn = ExpressionFunction("x1*x2 + x2*x3 + x3*x4", 4)
-    x = (1.0, -2.0, 0.5, 3.0)
-    single = montecarlo.estimate_as(fn, x, n=1000, seed=5, workers=1)
-    quad = montecarlo.estimate_as(fn, x, n=1000, seed=5, workers=4)
-    assert single == quad
+def run_sampled(capsys, *options):
+    code = cli.main(["decompose", "-d", "4", "-f", "x1*x2 + x2*x3 + x3*x4",
+                     "--point=1,-2,0.5,3", "--method", "mc", "--samples", "1000", "--seed", "5",
+                     "--format", "json", *options])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_worker_count_does_not_change_the_report(capsys):
+    # --workers is a CLI option only; the estimators take no worker count
+    single = run_sampled(capsys, "--workers", "1")
+    quad = run_sampled(capsys, "--workers", "4")
+    assert single == quad and single[0] == 0
 
 
 def test_sample_count_guard():
@@ -101,9 +108,9 @@ def test_dimension_cap_of_int64_masks():
             estimator(too_wide, (1.0,) * 64, n=200, seed=0)
 
 
-def test_worker_count_is_validated():
-    with pytest.raises(ValueError, match="worker"):
-        montecarlo.estimate_as(PRODUCT, (1.0, 1.0), n=10, seed=0, workers=0)
+def test_worker_count_is_validated(capsys):
+    assert run_sampled(capsys, "--workers", "0") == (
+        2, "", "error: need at least 1 worker, got 0\n")
 
 
 def test_delta_star_estimate_splits_the_origin_value():
