@@ -218,8 +218,8 @@ def test_criterion_08_game_axioms():
 def test_criterion_09_sampling_calibration_and_reproducibility(capsys):
     started = time.perf_counter()
     d, n, runs = 8, 2000, 200
-    text = " + ".join(f"x{i + 1}*x{i % d + 2}" for i in range(d - 1))
-    fn = ExpressionFunction(text + " + x8*x1 + 0.5*x1*x4*x7", d)
+    text = " + ".join(f"x{i + 1}*x{i % d + 2}" for i in range(d - 1)) + " + x8*x1 + 0.5*x1*x4*x7"
+    fn = ExpressionFunction(text, d)
     x = tuple(float(v) for v in seeded_rng(9).uniform(-1.5, 1.5, size=d))
     exact = decomp.as_subset(fn, x).contributions
 
@@ -232,11 +232,10 @@ def test_criterion_09_sampling_calibration_and_reproducibility(capsys):
     for j in range(d):
         assert covered[j] >= int(0.95 * runs), (j, covered)
 
-    argv = ["decompose", "-d", str(d), "-f", text + " + x8*x1 + 0.5*x1*x4*x7",
-            "--point=" + ",".join(map(repr, x)), "--method", "mc", "--samples", str(n),
-            "--seed", "123", "--format", "json"]
-    lone, multi = ((cli.main([*argv, "--workers", workers]), capsys.readouterr())
-                   for workers in ("1", "4"))
+    argv = ["decompose", "-d", str(d), "-f", text, "--point=" + ",".join(map(repr, x)),
+            "--method", "mc", "--samples", str(n), "--seed", "123", "--format", "json"]
+    lone, multi = [(cli.main([*argv, "--workers", workers]), capsys.readouterr())
+                   for workers in ("1", "4")]
     assert lone == multi and lone[0] == 0
     report(9, f"sampling estimator: exact value inside 4 SE in >=95% of {runs} runs; "
               "bitwise identical across worker counts", started, 120.0)
