@@ -730,6 +730,37 @@ def test_points_tables_and_sampling_runs_match_recorded_output(capsys, tmp_path)
         "bcde7786d794251f995bbb7cdd89624a9f6ad0b7fb12e4f33ad367553cf3c775")
 
 
+def test_report_formats_and_tolerances_match_recorded_output(capsys, tmp_path):
+    # the report paths the digests above skip: shapley, the examples and
+    # many-point auto and sampled runs in every format, and each at --tol 0
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2,x3\n1,2,3\n-0.5,0.25,2\n0,1.5,-1\n")
+    game = write_game(tmp_path, {"d": 3, "values": {
+        "1": 0.1, "2": 0.2, "3": 0.3, "1,2": 0.7, "1,3": 0.45, "2,3": 1.1, "1,2,3": 1.3}})
+    f = "x1*x2*x3 + exp(x2) - 1"
+    commands = [
+        ("shapley", game), ("example1",),
+        ("example2", "--discount-rate", "1.5", "--threshold", "5"),
+        ("example3", "--scenarios", "1000"),
+        ("decompose", "-d", "3", "-f", f, "--points-csv", str(points)),
+        ("decompose", "-d", "3", "-f", f, "--points-csv", str(points), "--method", "mc",
+         "--samples", "200", "--seed", "4"),
+    ]
+    digest = hashlib.sha256()
+    strict_codes = []
+    for command in commands:
+        for out_format in ("table", "json", "csv"):
+            for tol in ((), ("--tol", "0")):
+                code, out, err = run(capsys, *command, "--format", out_format, *tol)
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+                if tol:
+                    strict_codes.append(code)
+    # shapley, example3 and both decompose runs leave a rounding residual
+    assert strict_codes == [1] * 3 + [0] * 6 + [1] * 9
+    assert digest.hexdigest() == (
+        "0140141ccf3ea82380bb59a435cad1f75c28e71366da98fa7b4ba7293f9c2e7e")
+
+
 # ---------------------------------------------------------------------------
 # benchmark tracer
 
