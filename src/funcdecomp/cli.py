@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,10 +62,6 @@ def _round_sig(v: float) -> float:
 
 def _cell(v: float) -> str:
     return f"{v:.{TABLE_DIGITS}g}"
-
-
-def _data_cell(v: float) -> str:
-    return f"{v:.{DATA_DIGITS}g}"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -196,69 +192,54 @@ def _rows(points: Sequence[Sequence[float]], contributions: Sequence[Sequence[fl
     return rows
 
 
-def _decomposition_header(d: int, has_se: bool) -> list[str]:
-    prefixes = ("x", "G", "SE") if has_se else ("x", "G")
-    return [f"{p}{i + 1}" for p in prefixes for i in range(d)] + ["total", "residual"]
+def _round_json(value: object) -> object:
+    """``value`` with every float in it rounded to DATA_DIGITS significant digits."""
+    if isinstance(value, float):
+        return _round_sig(value)
+    if isinstance(value, dict):
+        return {k: _round_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round_json(v) for v in value]
+    return value
 
 
-def _decomposition_cells(row: dict, has_se: bool, cell: Callable[[float], str]) -> list[str]:
-    values = [*row["x"], *row["contributions"]]
-    if has_se:
-        values += row.get("standard_error", ())
-    return [cell(v) for v in (*values, row["total"], row["residual"])]
+def _report(args: argparse.Namespace, meta: dict, payload: dict, header: Sequence[str],
+            lines: Sequence[Sequence[float]], ok: bool = True,
+            note: tuple[Sequence[float | None], str] | None = None) -> int:
+    """Write a report in ``args.format`` to ``args.output``; return its exit code.
+
+    JSON is ``meta`` then ``payload``, its floats rounded to DATA_DIGITS
+    significant digits.  CSV is ``header`` over ``lines`` at DATA_DIGITS.
+    The table is a ``key: value`` line of ``meta`` over ``header`` and
+    ``lines`` at TABLE_DIGITS, then ``note``, a line of cells (None leaves
+    one blank) and a text.  The last number of each line is a residual: the
+    exit code is EXIT_OK if every residual is within ``args.tol`` and ``ok``.
+    """
+    if args.format == "json":
+        text = json.dumps(_round_json({**meta, **payload}), indent=2) + "\n"
+    elif args.format == "csv":
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(f"{v:.{DATA_DIGITS}g}" for v in line) + "\n" for line in lines)
+    else:
+        def table_line(cells: Iterable[str]) -> str:
+            return " ".join(f"{c:>12}" for c in cells)
+        out = ["  ".join(f"{k}: {v}" for k, v in meta.items()), table_line(header)]
+        out += [table_line(map(_cell, line)) for line in lines]
+        if note is not None:
+            cells, label = note
+            out.append(table_line("" if v is None else _cell(v) for v in cells) + f"  {label}")
+        text = "\n".join(out) + "\n"
+    _write_output(text, args.output)
+    return EXIT_OK if ok and all(line[-1] <= args.tol for line in lines) else EXIT_FAIL
 
 
-def _render_decomposition(meta: dict, rows: list[dict], out_format: str) -> str:
-    d = meta["d"]
-    has_se = any("standard_error" in r for r in rows)
-    if out_format == "json":
-        payload = dict(meta)
-        payload["rows"] = [
-            {k: ([_round_sig(v) for v in val] if isinstance(val, (list, tuple)) else
-                 (_round_sig(val) if isinstance(val, float) else val))
-             for k, val in row.items()}
-            for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    header = _decomposition_header(d, has_se)
-    if out_format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_decomposition_cells(row, has_se, _data_cell)) for row in rows]
-        return "\n".join(lines) + "\n"
-
-    width = 12
-    lines = ["  ".join(f"{k}: {v}" for k, v in meta.items())]
-    lines.append(" ".join(f"{h:>{width}}" for h in header))
-    for row in rows:
-        cells = _decomposition_cells(row, has_se, _cell)
-        lines.append(" ".join(f"{c:>{width}}" for c in cells))
-        if "reference" in row:
-            ref = [""] * d + [_cell(v) for v in row["reference"]]
-            lines.append(" ".join(f"{c:>{width}}" for c in ref) + "  (closed form)")
-    return "\n".join(lines) + "\n"
-
-
-def _render_allocation(meta: dict, shares: Sequence[float], grand: float,
-                       out_format: str) -> str:
-    residual = abs(math.fsum(shares) - grand)
-    if out_format == "json":
-        payload = dict(meta)
-        payload.update({
-            "shares": [_round_sig(v) for v in shares],
-            "grand_value": _round_sig(grand),
-            "residual": _round_sig(residual),
-        })
-        return json.dumps(payload, indent=2) + "\n"
-    header = [f"phi{i + 1}" for i in range(len(shares))] + ["grand_value", "residual"]
-    if out_format == "csv":
-        cells = [_data_cell(v) for v in (*shares, grand, residual)]
-        return ",".join(header) + "\n" + ",".join(cells) + "\n"
-    width = 12
-    lines = ["  ".join(f"{k}: {v}" for k, v in meta.items())]
-    lines.append(" ".join(f"{h:>{width}}" for h in header))
-    cells = [_cell(v) for v in (*shares, grand, residual)]
-    lines.append(" ".join(f"{c:>{width}}" for c in cells))
-    return "\n".join(lines) + "\n"
+def _report_rows(args: argparse.Namespace, meta: dict, rows: list[dict], **kwargs) -> int:
+    """`_report` of the rows from `_rows`, in columns x, G, [SE], total, residual."""
+    prefixes = ("x", "G", "SE") if "standard_error" in rows[0] else ("x", "G")
+    header = [f"{p}{i + 1}" for p in prefixes for i in range(meta["d"])] + ["total", "residual"]
+    lines = [[*row["x"], *row["contributions"], *row.get("standard_error", ()),
+              row["total"], row["residual"]] for row in rows]
+    return _report(args, meta, {"rows": rows}, header, lines, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +319,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if invalid is not None:
         raise invalid
     meta = {"method": label, "d": d, "function": getattr(fn, "label", "?")}
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
-    worst = max(row["residual"] for row in rows)
-    return EXIT_OK if worst <= args.tol else EXIT_FAIL
+    return _report_rows(args, meta, rows)
 
 
 def _read_game_json(path: str) -> object:
@@ -360,13 +339,12 @@ def _read_game_json(path: str) -> object:
 def cmd_shapley(args: argparse.Namespace) -> int:
     # the parsed JSON is freed before the kernel runs
     game = game_from_json(_read_game_json(args.game))
-    allocation = shapley(game)
+    shares, grand = shapley(game).shares, game.grand_value
+    residual = abs(math.fsum(shares) - grand)
     meta = {"method": "shapley", "d": game.d, "game": os.path.basename(args.game)}
-    _write_output(
-        _render_allocation(meta, allocation.shares, game.grand_value, args.format),
-        args.output,
-    )
-    return EXIT_OK if allocation.efficiency_gap(game) <= args.tol else EXIT_FAIL
+    header = [f"phi{i + 1}" for i in range(game.d)] + ["grand_value", "residual"]
+    return _report(args, meta, {"shares": shares, "grand_value": grand, "residual": residual},
+                   header, [[*shares, grand, residual]])
 
 
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
@@ -427,9 +405,9 @@ def cmd_example1(args: argparse.Namespace) -> int:
     meta = {"method": result.method, "d": 2, "function": fn.label}
     [row] = _rows([x], result.contributions, result.totals)
     row["reference"] = list(reference)
-    _write_output(_render_decomposition(meta, [row], args.format), args.output)
     dev = max(abs(a - b) for a, b in zip(row["contributions"], reference))
-    return EXIT_OK if dev <= args.tol and row["residual"] <= args.tol else EXIT_FAIL
+    return _report_rows(args, meta, [row], ok=dev <= args.tol,
+                        note=([None, None, *reference], "(closed form)"))
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
@@ -440,9 +418,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
     result = decomp.delta_star_arrays(fn, [readings])
     meta = {"method": result.method, "d": d, "function": fn.label,
             "fixed_cost_per_head": _round_sig(fn((0.0,) * d) / d)}
-    rows = _rows([readings], result.contributions, result.totals)
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
-    return EXIT_OK if rows[0]["residual"] <= args.tol else EXIT_FAIL
+    return _report_rows(args, meta, _rows([readings], result.contributions, result.totals))
 
 
 def cmd_example3(args: argparse.Namespace) -> int:
@@ -460,9 +436,7 @@ def cmd_example3(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "baseline_var": _round_sig(model.baseline),
     }
-    rows = _rows([x], result.contributions, result.totals)
-    _write_output(_render_decomposition(meta, rows, args.format), args.output)
-    return EXIT_OK if rows[0]["residual"] <= args.tol else EXIT_FAIL
+    return _report_rows(args, meta, _rows([x], result.contributions, result.totals))
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,6 @@ class Allocation:
     def total(self) -> float:
         return math.fsum(self.shares)
 
-    def efficiency_gap(self, game: Game) -> float:
-        return abs(self.total - game.grand_value)
-
 
 def shapley_weight(d: int, size: int) -> float:
     """Weight (size-1)!(d-size)!/d! for a coalition of the given size.
