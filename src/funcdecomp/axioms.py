@@ -31,6 +31,7 @@ from .core import (
     inverse_permutation,
     seeded_rng,
     validate_dimension,
+    validate_tolerance,
 )
 from .expr import (
     CoordinateMap,
@@ -464,12 +465,22 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
 
 # the parameters of each family that hold one entry per coordinate
 _PER_COORDINATE = {"max_monomial": ("q", "s"), "monomial": ("q",), "step_function": ("grid",)}
+# every parameter each family reads
+_PARAMETERS = {**_PER_COORDINATE, "example1": ("s0", "c0"), "constant": ("c",),
+               "polynomial": ("degree", "n_terms", "coefficient_range", "allow_constant"),
+               "example2": ("base", "rate", "discount_rate", "threshold")}
 
 
 def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
     """Deterministically generate ``spec.count`` functions of one family."""
+    if spec.family not in _PARAMETERS:
+        raise ValueError(f"unknown corpus family {spec.family!r}")
+    _integer("count", spec.count, 1)
     rng = seeded_rng(spec.seed, 0xC0)
     p = dict(spec.params)
+    for name in p:
+        if name not in _PARAMETERS[spec.family]:
+            raise ValueError(f"family {spec.family!r} has no parameter {name!r}")
     for name in _PER_COORDINATE.get(spec.family, ()):
         if name in p and (not isinstance(p[name], (list, tuple)) or len(p[name]) != spec.d):
             raise ValueError(f"{name} must be a list of d = {spec.d} entries, got {p[name]!r}")
@@ -501,10 +512,8 @@ def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
         elif spec.family == "example2":
             out.append(example2_function(spec.d, p.get("base", 10.0), p.get("rate", 2.0),
                                          p.get("discount_rate"), p.get("threshold")))
-        elif spec.family == "constant":
+        else:  # constant
             out.append(constant_function(p.get("c", float(rng.uniform(-5, 5))), spec.d))
-        else:
-            raise ValueError(f"unknown corpus family {spec.family!r}")
     return out
 
 
@@ -535,6 +544,7 @@ class SuiteConfig:
         for name, least in (("n_functions", 1), ("n_points", 1), ("n_permutations", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        validate_tolerance(self.tolerance)
 
 
 # keyed by the field annotations, which are strings under postponed evaluation

@@ -32,6 +32,7 @@ from .core import (
     permutation_from_ranks,
     project,
     validate_dimension,
+    validate_tolerance,
 )
 from .expr import EvaluationError, ExpressionFunction, FunctionHandle, ParseError, TableFunction
 from .game import GameFormatError, game_from_json, shapley
@@ -536,6 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in vars(args):  # a report command's residual tolerance
+            validate_tolerance(args.tol)
         return args.handler(args)
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -55,6 +55,12 @@ def validate_dimension(d: int, cap: int | None = None) -> int:
     return d
 
 
+def validate_tolerance(tol: float) -> float:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number of at least 0, got {tol!r}")
+    return tol
+
+
 def seeded_rng(seed: int, salt: int) -> np.random.Generator:
     """Counter-based generator keyed by ``(seed mod 2**64, salt)``: a fixed
     key gives the same stream on every platform, and any integer seed,
@@ -151,9 +157,10 @@ def project(x: Sequence[float], mask: int) -> Point:
 
 def permutation_from_ranks(ranks: Iterable[int]) -> Permutation:
     """Convert a user-facing 1-based permutation tuple to internal 0-based form."""
-    perm = tuple(int(r) - 1 for r in ranks)
-    validate_permutation(perm)
-    return perm
+    ranks = tuple(int(r) for r in ranks)
+    if sorted(ranks) != list(range(1, len(ranks) + 1)):
+        raise DimensionMismatchError(f"not a permutation of 1..{len(ranks)}: {ranks!r}")
+    return tuple(r - 1 for r in ranks)
 
 
 def ranks_from_permutation(perm: Permutation) -> tuple[int, ...]:

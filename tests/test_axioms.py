@@ -561,6 +561,8 @@ def test_generate_corpus_families():
             fn((0.1,) * fn.d)  # evaluates without error
     with pytest.raises(ValueError):
         generate_corpus(CorpusSpec("mystery", 3))
+    with pytest.raises(ValueError, match="count must be an integer of at least 1, got 0"):
+        generate_corpus(CorpusSpec("polynomial", 3, count=0))
 
 
 def test_pinned_max_monomial_params():
@@ -611,6 +613,9 @@ def test_suite_config_rejects_out_of_range_counts():
     for field, bad in (("n_functions", 0), ("n_points", -2), ("n_permutations", -1)):
         with pytest.raises(ValueError, match=f"{field} must be at least"):
             small_config(**{field: bad})
+    for bad in (math.nan, -1e-300, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be a finite number of at least 0"):
+            small_config(tolerance=bad)
     assert small_config(n_permutations=0, n_points=1, n_functions=1).n_permutations == 0
 
 

@@ -65,6 +65,11 @@ def test_decompose_sequential_with_order(capsys):
         "--method", "sequential", "--perm", "2,1")
     assert code == 0
     assert payload["rows"][0]["contributions"] == [8.0, 0.0]
+    # errors name the 1-based ranks as given
+    for perm in ("0,1,2", "2,3,4", "1,1,3"):
+        assert run(capsys, "decompose", "-d", "3", "-f", "x1*x2*x3", "-x", "1,2,3",
+                   "--method", "sequential", "--perm", perm) == (
+            2, "", f"error: not a permutation of 1..3: ({perm.replace(',', ', ')})\n")
 
 
 def test_perm_needs_the_sequential_method(capsys):
@@ -234,6 +239,11 @@ def test_residual_tolerance_controls_exit(capsys):
     assert code == 1
     code, _, _ = run(capsys, *args, "--tol", "1")
     assert code == 0
+    # a tolerance that is not a finite number of at least 0 is refused before any output
+    for tol in ("nan", "-1", "inf"):
+        assert run(capsys, *args, "--tol", tol) == (
+            2, "", f"error: tolerance must be a finite number of at least 0, "
+                   f"got {float(tol)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +462,15 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     ({"d": 2, "families": [{"family": "polynomial", "families": []}]},
      "corpus spec families[0]: unknown key 'families'"),
     ({"n_points": 0}, "n_points must be at least 1, got 0"),
+    ({"tolerance": float("nan")}, "tolerance must be a finite number of at least 0, got nan"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"n_terms": 1, "degre": 9}}]},
+     "family 'polynomial' has no parameter 'degre'"),
+    ({"d": 2, "families": [{"family": "example1", "params": {"q": [1, 2]}}]},
+     "family 'example1' has no parameter 'q'"),
+    ({"d": 2, "families": [{"family": "polynomial", "count": 0}]},
+     "count must be an integer of at least 1, got 0"),
+    ({"d": 2, "families": [{"family": "constant", "count": -3}]},
+     "count must be an integer of at least 1, got -3"),
     ({"d": 2, "families": [{"family": "monomial", "params": {"q": [1]}}]},
      "q must be a list of d = 2 entries, got [1]"),
     ({"d": 3, "families": [{"family": "max_monomial", "params": {"q": [1, 2], "s": [1, -1]}}]},
@@ -519,6 +538,8 @@ def test_axioms_exits_2_when_a_sum_of_functions_overflows(capsys, tmp_path):
     (("--points", "0"), "n_points must be at least 1, got 0"),
     (("--points", "-2"), "n_points must be at least 1, got -2"),
     (("--perms", "-1"), "n_permutations must be at least 0, got -1"),
+    (("--tol", "nan"), "tolerance must be a finite number of at least 0, got nan"),
+    (("--tol", "-1"), "tolerance must be a finite number of at least 0, got -1.0"),
 ])
 def test_axioms_rejects_out_of_range_counts(capsys, flags, message):
     code, out, err = run(capsys, "axioms", *flags)
@@ -556,6 +577,12 @@ def test_example1_matches_closed_form(capsys):
     row = payload["rows"][0]
     assert row["contributions"] == [3.5, 2.5]
     assert row["reference"] == [3.5, 2.5]
+    # here the residual is 0 and the closed form differs in the last bit, so
+    # --tol decides the exit code through the deviation alone
+    argv = ("example1", "--s0", "0.1", "--c0", "0.2", "-x", "0.3,1")
+    code, payload, _ = run_json(capsys, *argv, "--tol", "0")
+    assert (code, payload["rows"][0]["residual"]) == (1, 0.0)
+    assert run_json(capsys, *argv, "--tol", "1e-16")[0] == 0
 
 
 def test_example2_splits_fixed_costs_evenly(capsys):
