@@ -55,10 +55,9 @@ def validate_dimension(d: int, cap: int | None = None) -> int:
     return d
 
 
-def validate_tolerance(tol: float) -> float:
+def validate_tolerance(tol: float) -> None:
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite number of at least 0, got {tol!r}")
-    return tol
 
 
 def seeded_rng(seed: int, salt: int) -> np.random.Generator:
