@@ -462,15 +462,6 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     ({"d": 2, "families": [{"family": "polynomial", "families": []}]},
      "corpus spec families[0]: unknown key 'families'"),
     ({"n_points": 0}, "n_points must be at least 1, got 0"),
-    ({"tolerance": float("nan")}, "tolerance must be a finite number of at least 0, got nan"),
-    ({"d": 2, "families": [{"family": "polynomial", "params": {"n_terms": 1, "degre": 9}}]},
-     "family 'polynomial' has no parameter 'degre'"),
-    ({"d": 2, "families": [{"family": "example1", "params": {"q": [1, 2]}}]},
-     "family 'example1' has no parameter 'q'"),
-    ({"d": 2, "families": [{"family": "polynomial", "count": 0}]},
-     "count must be an integer of at least 1, got 0"),
-    ({"d": 2, "families": [{"family": "constant", "count": -3}]},
-     "count must be an integer of at least 1, got -3"),
     ({"d": 2, "families": [{"family": "monomial", "params": {"q": [1]}}]},
      "q must be a list of d = 2 entries, got [1]"),
     ({"d": 3, "families": [{"family": "max_monomial", "params": {"q": [1, 2], "s": [1, -1]}}]},
@@ -511,6 +502,15 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
      "q must be a list of d = 2 entries, got [1]"),
     ({"d": 2, "families": [{"family": "mystery"}]},
      "unknown corpus family 'mystery'"),
+    ({"tolerance": float("nan")}, "tolerance must be a finite number of at least 0, got nan"),
+    ({"d": 2, "families": [{"family": "polynomial", "params": {"n_terms": 1, "degre": 9}}]},
+     "family 'polynomial' has no parameter 'degre'"),
+    ({"d": 2, "families": [{"family": "example1", "params": {"q": [1, 2]}}]},
+     "family 'example1' has no parameter 'q'"),
+    ({"d": 2, "families": [{"family": "polynomial", "count": 0}]},
+     "count must be an integer of at least 1, got 0"),
+    ({"d": 2, "families": [{"family": "constant", "count": -3}]},
+     "count must be an integer of at least 1, got -3"),
 ])
 def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
     if "families" in spec and not message.startswith("corpus spec"):
