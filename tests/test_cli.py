@@ -788,6 +788,37 @@ def test_report_formats_and_tolerances_match_recorded_output(capsys, tmp_path):
         "0140141ccf3ea82380bb59a435cad1f75c28e71366da98fa7b4ba7293f9c2e7e")
 
 
+def test_claims_model_and_estimator_checks_match_recorded_output(capsys):
+    # example3's model and its error order, and both estimators' checks in
+    # order: the sample count, F(0), the d = 1 order and the split of F(0)
+    example3 = ("example3", "-d", "4", "--portfolio", "20", "--scenarios", "1500",
+                "--seed", "7", "--loading", "0.2")
+    mc = ("decompose", "-d", "3", "-f", "x1*x2 + 1", "-x", "1,2,3", "--method", "mc")
+    runs = [
+        (*example3, "--format", "table"), (*example3, "--format", "json"),
+        ("example3", "-d", "2", "--seed", "-1", "-x", "0.3,-0.2", "--format", "csv"),
+        ("example3", "--scenarios", "999"),
+        ("example3", "--portfolio", "0", "--scenarios", "10"),
+        ("example3", "-d", "2", "-x", "1,2,3"),
+        (*mc, "--samples", "1"), (*mc, "--samples", "50", "--seed", "2"),
+        ("decompose", "-d", "21", "-f", "x1*x21 + 1", "--point=" + ",".join(["0.5"] * 21),
+         "--samples", "50", "--seed", "2"),
+        ("decompose", "-d", "3", "-f", "ln(x1) + x2", "-x", "1,2,3", "--method", "mc",
+         "--samples", "10"),
+        ("decompose", "-d", "1", "-f", "x1^2", "-x", "3", "--method", "mc",
+         "--samples", "5", "--seed", "1"),
+    ]
+    digest = hashlib.sha256()
+    codes = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        codes.append(code)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 4, 0, 2, 0]
+    assert digest.hexdigest() == (
+        "eb45abd83c4a1b9110bab40fbfe838d99022a7609fc2ced8f6e4e1999e6f4041")
+
+
 # ---------------------------------------------------------------------------
 # benchmark tracer
 
