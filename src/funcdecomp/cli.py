@@ -278,8 +278,6 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     d = args.dimension
-    if d is None:
-        raise ValueError("decompose needs -d/--dimension")
     if bool(args.function) == bool(args.table_csv):
         raise ValueError("provide exactly one of -f/--function or --table-csv")
 
@@ -379,11 +377,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         # the suite flags are named after the SuiteConfig fields; unset ones are None
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(axioms.SuiteConfig)
                  if getattr(args, f.name) is not None}
-        config = axioms.build_settings(axioms.SuiteConfig, flags, "options")
+        config = axioms.SuiteConfig(**flags)
         corpus = axioms.default_corpus(config)
-    if not corpus:
-        sys.stderr.write("no functions in the corpus\n")
-        return EXIT_USAGE
     records = axioms.run_axiom_suite(principle, config, corpus)
     lines = []
     failed = 0
@@ -423,9 +418,8 @@ def cmd_example2(args: argparse.Namespace) -> int:
 
 
 def cmd_example3(args: argparse.Namespace) -> int:
-    model = demo.build_claims_model(args.portfolio, args.factors, args.scenarios,
-                                    args.seed, loading=args.loading)
-    fn = model.movement_function()
+    fn, baseline = demo.claims_movement(args.portfolio, args.factors, args.scenarios,
+                                        args.seed, loading=args.loading)
     x = _parse_point(args.point) if args.point else (0.1,) * args.factors
     result = decomp.delta_star_arrays(fn, [x])
     meta = {
@@ -435,7 +429,7 @@ def cmd_example3(args: argparse.Namespace) -> int:
         "portfolio": args.portfolio,
         "scenarios": args.scenarios,
         "seed": args.seed,
-        "baseline_var": _round_sig(model.baseline),
+        "baseline_var": _round_sig(baseline),
     }
     return _report_rows(args, meta, _rows([x], result.contributions, result.totals))
 

@@ -78,17 +78,26 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
-def _validate(fn: FunctionHandle, x: Sequence[float], n: int) -> Point:
+def _estimate(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
+              split_origin: bool) -> EstimatorReport:
+    """The body of both estimators: `estimate_delta_star` if ``split_origin``,
+    else `estimate_as`."""
     point = as_point(x, fn.d)
     validate_dimension(fn.d, MASK_DIMENSION_CAP)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"the sample count n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n}")
-    return point
-
-
-def _report(estimate: np.ndarray, se: np.ndarray, n: int, seed: int) -> EstimatorReport:
+    base = fn((0.0,) * fn.d)
+    if not split_origin and abs(base) > ORIGIN_TOLERANCE:
+        raise NonzeroOriginError(
+            f"estimate_as needs F to vanish at the origin, got {base!r}; "
+            "use estimate_delta_star, which splits F(0) evenly"
+        )
+    seed = int(seed)
+    estimate, se = _sample(fn, point, base, n, seed)
+    if split_origin:
+        estimate = estimate + base / fn.d
     return EstimatorReport(tuple(estimate.tolist()), tuple(se.tolist()), n, seed)
 
 
@@ -100,16 +109,7 @@ def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int) -> Es
     sample has no variance estimate) and ``d <= MASK_DIMENSION_CAP``.
     Fixed ``(fn, x, n, seed)`` gives a bitwise-identical report.
     """
-    point = _validate(fn, x, n)
-    base = fn((0.0,) * fn.d)
-    if abs(base) > ORIGIN_TOLERANCE:
-        raise NonzeroOriginError(
-            f"estimate_as needs F to vanish at the origin, got {base!r}; "
-            "use estimate_delta_star, which splits F(0) evenly"
-        )
-    seed = int(seed)
-    estimate, se = _sample(fn, point, base, n, seed)
-    return _report(estimate, se, n, seed)
+    return _estimate(fn, x, n, seed, split_origin=False)
 
 
 def estimate_delta_star(fn: FunctionHandle, x: Sequence[float], n: int,
@@ -121,8 +121,4 @@ def estimate_delta_star(fn: FunctionHandle, x: Sequence[float], n: int,
     Same requirements as `estimate_as`, except that F need not vanish at
     the origin.
     """
-    point = _validate(fn, x, n)
-    base = fn((0.0,) * fn.d)
-    seed = int(seed)
-    estimate, se = _sample(fn, point, base, n, seed)
-    return _report(estimate + base / fn.d, se, n, seed)
+    return _estimate(fn, x, n, seed, split_origin=True)
