@@ -396,7 +396,7 @@ def monomial(q: Sequence[int]) -> ExpressionFunction:
 
 
 def constant_function(c: float, d: int) -> ExpressionFunction:
-    fn = ExpressionFunction(repr(float(c)), d)
+    fn = ExpressionFunction(repr(_number("c", c)), d)
     fn.dummy_coordinates = tuple(range(d))
     return fn
 
@@ -404,6 +404,7 @@ def constant_function(c: float, d: int) -> ExpressionFunction:
 def example1_function(s0: float, c0: float) -> ExpressionFunction:
     """Two-factor gain: position change times rate change around the
     starting levels (s0, c0); vanishes at the origin."""
+    _number("s0 * c0", _number("s0", s0) * _number("c0", c0))
     return ExpressionFunction(f"(x1 + {s0!r}) * (x2 + {c0!r}) - {s0 * c0!r}", 2)
 
 
@@ -420,10 +421,14 @@ def example2_function(d: int, base: float = 10.0, rate: float = 2.0,
     a per-unit rate on the total, optionally cheaper above a threshold."""
     if (discount_rate is None) != (threshold is None):
         raise ValueError("discount_rate and threshold must be given both or neither")
+    _number("base", base)
+    _number("rate", rate)
     total = " + ".join(f"x{i + 1}" for i in range(d))
     if discount_rate is None:
         text = f"{base!r} + {rate!r} * ({total})"
     else:
+        _number("discount_rate", discount_rate)
+        _number("threshold", threshold)
         text = (f"{base!r} + {rate!r} * min({total}, {threshold!r})"
                 f" + {discount_rate!r} * max(({total}) - {threshold!r}, 0)")
     return ExpressionFunction(text, d)
@@ -447,6 +452,7 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
     if not isinstance(coeff_range, (list, tuple)) or len(coeff_range) != 2:
         raise ValueError(f"coefficient_range must be a list of 2 numbers, got {coeff_range!r}")
     lo, hi = (_number(f"coefficient_range[{i}]", v) for i, v in enumerate(coeff_range))
+    _number("coefficient_range[1] - coefficient_range[0]", hi - lo)
     # Exponent vectors are uniform over the admissible ones: draw the total
     # degree s with probability proportional to the number C(s+d-1, d-1) of
     # vectors summing to s, then one of those uniformly (stars and bars).

@@ -447,9 +447,7 @@ def test_axioms_corpus_spec_file(capsys, tmp_path):
 def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"d": 2, "families": []}))
-    code, _, err = run(capsys, "axioms", str(path))
-    assert code == 2
-    assert "no functions" in err
+    assert run(capsys, "axioms", str(path)) == (2, "", "error: no functions in the corpus\n")
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -511,6 +509,27 @@ def test_axioms_empty_corpus_exits_2(capsys, tmp_path):
      "count must be an integer of at least 1, got 0"),
     ({"d": 2, "families": [{"family": "constant", "count": -3}]},
      "count must be an integer of at least 1, got -3"),
+    ({"d": 2, "families": [{"family": "constant", "params": {"c": float("inf")}}]},
+     "c must be a finite number, got inf"),
+    ({"d": 2, "families": [{"family": "example1", "params": {"s0": "a"}}]},
+     "s0 must be a finite number, got 'a'"),
+    ({"d": 2, "families": [{"family": "example1", "params": {"s0": 1e308, "c0": 10}}]},
+     "s0 * c0 must be a finite number, got inf"),
+    ({"d": 2, "families": [{"family": "example1", "params": {"c0": None}}]},
+     "c0 must be a finite number, got None"),
+    ({"d": 2, "families": [{"family": "polynomial",
+                            "params": {"coefficient_range": [-1e308, 1e308]}}]},
+     "coefficient_range[1] - coefficient_range[0] must be a finite number, got inf"),
+    ({"d": 3, "families": [{"family": "example2", "params": {"rate": "2"}}]},
+     "rate must be a finite number, got '2'"),
+    ({"d": 3, "families": [{"family": "example2", "params": {"base": float("nan")}}]},
+     "base must be a finite number, got nan"),
+    ({"d": 3, "families": [{"family": "example2",
+                            "params": {"discount_rate": True, "threshold": 5}}]},
+     "discount_rate must be a finite number, got True"),
+    ({"d": 3, "families": [{"family": "example2",
+                            "params": {"discount_rate": 1.5, "threshold": [5]}}]},
+     "threshold must be a finite number, got [5]"),
 ])
 def test_axioms_malformed_corpus_spec_exits_2(capsys, tmp_path, spec, message):
     if "families" in spec and not message.startswith("corpus spec"):
@@ -605,6 +624,21 @@ def test_example2_with_volume_discount(capsys):
 def test_example2_needs_discount_rate_and_threshold_together(capsys, flags):
     assert run(capsys, "example2", "--readings", "1,2,3", *flags) == (
         2, "", "error: discount_rate and threshold must be given both or neither\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("example1", "--s0", "nan"), "s0 must be a finite number, got nan"),
+    (("example1", "--c0", "inf"), "c0 must be a finite number, got inf"),
+    (("example1", "--s0", "1e308", "--c0", "10"), "s0 * c0 must be a finite number, got inf"),
+    (("example2", "--base=-inf"), "base must be a finite number, got -inf"),
+    (("example2", "--rate", "inf"), "rate must be a finite number, got inf"),
+    (("example2", "--discount-rate", "nan", "--threshold", "5"),
+     "discount_rate must be a finite number, got nan"),
+    (("example2", "--discount-rate", "1.5", "--threshold", "1e999"),
+     "threshold must be a finite number, got inf"),
+])
+def test_example_options_must_be_finite_numbers(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_example3_zero_moves_give_zero(capsys):
