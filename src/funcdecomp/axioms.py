@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .core import (
     ORIGIN_TOLERANCE,
     Permutation,
     Point,
+    finite_number,
     full_mask,
     inverse_permutation,
     seeded_rng,
@@ -363,14 +363,6 @@ def _integer(name: str, value: object, least: int) -> int:
     return n
 
 
-def _number(name: str, value: object) -> float:
-    """``value`` as a float if it is a finite real number (not a bool)."""
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if finite and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 def _power_product(bases: Sequence[str], q: Sequence[int]) -> ExpressionFunction:
     """Product of ``bases[i]^q_i``.  Exponent zero makes a factor
     identically one (0^0 = 1), so that coordinate is a dummy."""
@@ -396,7 +388,7 @@ def monomial(q: Sequence[int]) -> ExpressionFunction:
 
 
 def constant_function(c: float, d: int) -> ExpressionFunction:
-    fn = ExpressionFunction(repr(_number("c", c)), d)
+    fn = ExpressionFunction(repr(finite_number("c", c)), d)
     fn.dummy_coordinates = tuple(range(d))
     return fn
 
@@ -404,7 +396,7 @@ def constant_function(c: float, d: int) -> ExpressionFunction:
 def example1_function(s0: float, c0: float) -> ExpressionFunction:
     """Two-factor gain: position change times rate change around the
     starting levels (s0, c0); vanishes at the origin."""
-    _number("s0 * c0", _number("s0", s0) * _number("c0", c0))
+    finite_number("s0 * c0", finite_number("s0", s0) * finite_number("c0", c0))
     return ExpressionFunction(f"(x1 + {s0!r}) * (x2 + {c0!r}) - {s0 * c0!r}", 2)
 
 
@@ -421,14 +413,14 @@ def example2_function(d: int, base: float = 10.0, rate: float = 2.0,
     a per-unit rate on the total, optionally cheaper above a threshold."""
     if (discount_rate is None) != (threshold is None):
         raise ValueError("discount_rate and threshold must be given both or neither")
-    _number("base", base)
-    _number("rate", rate)
+    finite_number("base", base)
+    finite_number("rate", rate)
     total = " + ".join(f"x{i + 1}" for i in range(d))
     if discount_rate is None:
         text = f"{base!r} + {rate!r} * ({total})"
     else:
-        _number("discount_rate", discount_rate)
-        _number("threshold", threshold)
+        finite_number("discount_rate", discount_rate)
+        finite_number("threshold", threshold)
         text = (f"{base!r} + {rate!r} * min({total}, {threshold!r})"
                 f" + {discount_rate!r} * max(({total}) - {threshold!r}, 0)")
     return ExpressionFunction(text, d)
@@ -451,8 +443,8 @@ def _random_polynomial(d: int, rng: np.random.Generator, degree: int, n_terms: i
     n_terms = _integer("n_terms", n_terms, 1)
     if not isinstance(coeff_range, (list, tuple)) or len(coeff_range) != 2:
         raise ValueError(f"coefficient_range must be a list of 2 numbers, got {coeff_range!r}")
-    lo, hi = (_number(f"coefficient_range[{i}]", v) for i, v in enumerate(coeff_range))
-    _number("coefficient_range[1] - coefficient_range[0]", hi - lo)
+    lo, hi = (finite_number(f"coefficient_range[{i}]", v) for i, v in enumerate(coeff_range))
+    finite_number("coefficient_range[1] - coefficient_range[0]", hi - lo)
     # Exponent vectors are uniform over the admissible ones: draw the total
     # degree s with probability proportional to the number C(s+d-1, d-1) of
     # vectors summing to s, then one of those uniformly (stars and bars).
@@ -510,7 +502,7 @@ def generate_corpus(spec: CorpusSpec) -> list[FunctionHandle]:
                 p.get("coefficient_range", (-3.0, 3.0)), p.get("allow_constant", False)))
         elif spec.family == "step_function":
             grid = p.get("grid") or rng.uniform(-1, 1, size=spec.d).tolist()
-            thresholds = [_number(f"grid[{i}]", t) for i, t in enumerate(grid)]
+            thresholds = [finite_number(f"grid[{i}]", t) for i, t in enumerate(grid)]
             jumps = [float(v) for v in rng.uniform(-2, 2, size=spec.d)]
             out.append(step_function(spec.d, thresholds, jumps))
         elif spec.family == "example1":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,6 +59,14 @@ def validate_dimension(d: int, cap: int | None = None) -> int:
 def validate_tolerance(tol: float) -> None:
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite number of at least 0, got {tol!r}")
+
+
+def finite_number(name: str, value: object) -> float:
+    """``value`` as a float if it is a finite real number (not a bool)."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if finite and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def seeded_rng(seed: int, salt: int) -> np.random.Generator:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import Point, seeded_rng
+from .core import Point, finite_number, seeded_rng
 from .expr import NativeFunction
 
 VAR_LEVEL = 0.995
@@ -41,13 +41,15 @@ def claims_movement(portfolio_size: int, n_factors: int, n_scenarios: int, seed:
     if n_scenarios < MIN_SCENARIOS:
         raise ValueError(f"need at least {MIN_SCENARIOS} scenarios for a stable quantile, "
                          f"got {n_scenarios}")
+    if loading is not None:
+        loading = finite_number("loading", loading)
     rng = seeded_rng(seed, 0xB11D)
     exposures = rng.uniform(0.5, 1.5, size=portfolio_size)
     if loading is None:
         loadings = rng.normal(0.0, 0.3, size=(portfolio_size, n_factors))
     else:
         exposures = np.ones(portfolio_size)
-        loadings = np.full((portfolio_size, n_factors), float(loading))
+        loadings = np.full((portfolio_size, n_factors), loading)
     scenarios = seeded_rng(seed, 0xC1A1).lognormal(mean=0.0, sigma=1.0,
                                                    size=(n_scenarios, portfolio_size))
 

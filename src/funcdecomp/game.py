@@ -119,19 +119,34 @@ def weighted_marginals(values: Sequence[float], d: int) -> np.ndarray:
         raise DimensionMismatchError(f"need a table of {1 << d} values, got {vals.shape}")
     rows = vals.reshape(-1, 1 << d)
     n = len(rows)
-    # Coalition sizes are recomputed per call: a cached 2^d array outlives
-    # the call and keeps the allocator from returning freed memory.
-    sizes = np.zeros(1 << d, dtype=np.uint8)
-    for i in range(d):
-        sizes.reshape(-1, 2, 1 << i)[:, 1] += 1
+    half = 1 << (d - 1)
+    # Coordinate i pairs (S + {i}, S) in ascending order of c, the mask of
+    # S with bit i squeezed out, and weighs the pair by |S| + 1 =
+    # popcount(c) + 1: one weight vector serves every coordinate.  The
+    # sizes double up, s[2^j:2^(j+1)] = s[:2^j] + 1, as intp: numpy
+    # gathers with an intp index about twice as fast as with a uint8 one.
+    # Both are rebuilt per call: a cached array outlives the call and
+    # keeps the allocator from returning freed memory.
+    sizes = np.empty(half, dtype=np.intp)
+    sizes[0] = 1
+    for j in range(d - 1):
+        np.add(sizes[:1 << j], 1, out=sizes[1 << j:2 << j])
     w = _size_weights(d)[sizes]
+    del sizes  # before the buffer below: at most two half-tables live at once
     out = np.empty((n, d))
-    diff = np.empty((n, 1 << (d - 1)))  # one buffer for every coordinate
+    diff = np.empty((n, half))  # one buffer for every coordinate
     for i in range(d):
-        pairs = rows.reshape(n, 1 << (d - 1 - i), 2, 1 << i)
-        terms = diff.reshape(n, 1 << (d - 1 - i), 1 << i)
-        np.subtract(pairs[:, :, 1], pairs[:, :, 0], out=terms)
-        terms *= w.reshape(-1, 2, 1 << i)[:, 1]
+        run = 1 << i  # the pairs of coordinate i lie in runs of this length
+        pairs = rows.reshape(n, half >> i, 2, run)
+        terms = diff.reshape(n, half >> i, run)
+        if run < 8 and n * (half >> i) >= 512:
+            # numpy pays per run: where runs are short and many, take one
+            # offset within the runs at a time, a long strided pass each
+            for lo in range(run):
+                np.subtract(pairs[:, :, 1, lo], pairs[:, :, 0, lo], out=terms[:, :, lo])
+        else:
+            np.subtract(pairs[:, :, 1], pairs[:, :, 0], out=terms)
+        diff *= w
         # each row is summed along its own contiguous axis, in the order a
         # one-row table is summed
         out[:, i] = diff.sum(axis=1)

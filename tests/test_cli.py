@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from funcdecomp import cli
+from funcdecomp import cli, demo
 
 from oracles import all_close
 
@@ -672,6 +672,21 @@ def test_example3_rejects_small_scenario_sets(capsys):
     code, _, err = run(capsys, "example3", "--scenarios", "500")
     assert code == 2
     assert "scenario" in err
+
+
+@pytest.mark.parametrize("loading", ["nan", "inf", "-inf"])
+def test_example3_loading_must_be_a_finite_number(capsys, loading):
+    assert run(capsys, "example3", f"--loading={loading}") == (
+        2, "", f"error: loading must be a finite number, got {loading}\n")
+
+
+def test_claims_movement_checks_the_loading_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the loading")
+
+    monkeypatch.setattr(demo, "seeded_rng", no_draw)
+    with pytest.raises(ValueError, match="^loading must be a finite number, got nan$"):
+        demo.claims_movement(10, 2, 1000, 0, loading=float("nan"))
 
 
 # ---------------------------------------------------------------------------

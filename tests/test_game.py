@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -256,8 +257,40 @@ def test_batched_kernel_rows_equal_the_one_row_kernel():
                 assert batched[k].tobytes() == gm.weighted_marginals(table[k], d).tobytes()
                 assert batched[k].tobytes() == _one_row_kernel(table[k], d).tobytes()
     assert gm.weighted_marginals(np.empty((0, 8)), 3).shape == (0, 3)
+    assert gm.weighted_marginals(np.empty((0, 1 << 16)), 16).shape == (0, 16)
     with pytest.raises(DimensionMismatchError):
         gm.weighted_marginals(np.zeros((2, 7)), 3)
+
+
+@pytest.mark.parametrize("d", [16, 20])
+def test_kernel_equals_the_one_row_kernel_at_large_d(d):
+    rng = np.random.default_rng(29 + d)
+    table = 1e8 * rng.uniform(-1.0, 1.0, size=1 << d) ** 5
+    assert gm.weighted_marginals(table, d).tobytes() == _one_row_kernel(table, d).tobytes()
+
+
+def test_kernel_gives_every_dummy_coordinate_exactly_zero():
+    rng = np.random.default_rng(31)
+    for d in range(1, 11):
+        for i in range(d):
+            for n in (1, 7):
+                table = 1e8 * rng.uniform(-1.0, 1.0, size=(n, 1 << d)) ** 5
+                pairs = table.reshape(n, -1, 2, 1 << i)
+                pairs[:, :, 1] = pairs[:, :, 0]  # v(S) = v(S \ {i})
+                assert (gm.weighted_marginals(table, d)[:, i] == 0.0).all(), (d, i, n)
+
+
+def test_kernel_memory_stays_within_two_and_a_half_half_tables_at_the_cap():
+    d = 20
+    table = np.random.default_rng(37).uniform(-1.0, 1.0, size=1 << d)
+    gm.weighted_marginals(table, d)  # warm-up: the per-size weights are cached
+    tracemalloc.start()
+    try:
+        gm.weighted_marginals(table, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (1 << (d - 1)) * 8
 
 
 def game_from_table(d, values):
