@@ -33,8 +33,8 @@ def claims_movement(portfolio_size: int, n_factors: int, n_scenarios: int, seed:
 
     Returns the change of the empirical 99.5% quantile of the claims given
     risk-factor moves x from its zero-move value (the baseline), which
-    therefore vanishes at the origin, and the baseline.  A fixed ``loading``
-    makes the model symmetric in the factors.
+    therefore vanishes at the origin, and the baseline.  A fixed ``loading``,
+    a finite int or float, makes the model symmetric in the factors.
     """
     if portfolio_size < 1 or n_factors < 1:
         raise ValueError("portfolio size and factor count must be positive")

@@ -687,6 +687,10 @@ def test_claims_movement_checks_the_loading_before_any_draw(monkeypatch):
     monkeypatch.setattr(demo, "seeded_rng", no_draw)
     with pytest.raises(ValueError, match="^loading must be a finite number, got nan$"):
         demo.claims_movement(10, 2, 1000, 0, loading=float("nan"))
+    # the rule of the other finite-number parameters: an int or a float only
+    for loading in (True, "0.2"):
+        with pytest.raises(ValueError, match="^loading must be a finite number, got "):
+            demo.claims_movement(10, 2, 1000, 0, loading=loading)
 
 
 # ---------------------------------------------------------------------------
