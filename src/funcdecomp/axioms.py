@@ -216,12 +216,6 @@ def check_A2_permutations(principle: Principle, fn: FunctionHandle,
     return verdicts
 
 
-def check_A2_permutation(principle: Principle, fn: FunctionHandle, perm: Permutation,
-                         points: Sequence[Point], tol: float = 1e-10) -> AxiomVerdict:
-    """`check_A2_permutations` for one permutation."""
-    return check_A2_permutations(principle, fn, [perm], points, tol)[0]
-
-
 def check_A3_A6_dummy(principle: Principle, fn: FunctionHandle, dummy: int,
                       points: Sequence[Point],
                       tol: float = 1e-9) -> tuple[AxiomVerdict, AxiomVerdict]:
@@ -309,8 +303,8 @@ def check_A8_continuity_inheritance(principle: Principle, fn: FunctionHandle, x:
     x = _points([x], fn.d)
     # the points at each step, n_directions of them per step
     moved = np.concatenate([x + s * directions for s in steps])
-    base_value = fn(x[0])
-    fn_devs = _max(np.abs(_values(fn, moved) - base_value).reshape(len(steps), -1)).tolist()
+    values = _values(fn, np.concatenate([x, moved]))  # F(x) first: its error comes first
+    fn_devs = _max(np.abs(values[1:] - values[0]).reshape(len(steps), -1)).tolist()
     if fn_devs[-1] > 0.5 * fn_devs[0] and fn_devs[0] > tol:
         return AxiomVerdict("A8", PARTIAL, fn_devs[-1], tol, (),
                             "function values do not converge at x; "
@@ -634,7 +628,8 @@ def run_axiom_suite(principle: Principle, config: SuiteConfig = SuiteConfig(),
     admissible: list[tuple[FunctionHandle, np.ndarray]] = []
     for k, fn in enumerate(corpus):
         points = sample_points(fn.d, config.n_points, *POINT_RANGE, seed=config.seed + 7919 * k)
-        if principle.requires_zero_origin and abs(fn((0.0,) * fn.d)) > ORIGIN_TOLERANCE:
+        if principle.requires_zero_origin and abs(
+                fn.evaluate_table(points[:1], [0])[0, 0]) > ORIGIN_TOLERANCE:
             add(fn.label, "admissibility", AxiomVerdict(
                 "admissibility", PARTIAL, math.nan, tol, (),
                 f"{principle.name} requires a vanishing origin value; function skipped"))

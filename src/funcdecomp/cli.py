@@ -27,6 +27,7 @@ from .core import (
     DimensionMismatchError,
     NonFiniteCoordinateError,
     NonzeroOriginError,
+    full_mask,
     indices_from_mask,
     mask_from_indices,
     permutation_from_ranks,
@@ -169,7 +170,7 @@ def _read_mask_table(path: str, d: int) -> dict[int, float]:
 
 def _dump_mask_table(path: str, fn: FunctionHandle, x: Sequence[float]) -> None:
     validate_dimension(fn.d, EXACT_SUBSET_CAP)
-    values = fn.evaluate_masks(x, np.arange(1 << fn.d)).tolist()
+    values = fn.evaluate_table([x], np.arange(1 << fn.d))[0].tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mask", "value"])
@@ -262,10 +263,11 @@ def _decompose_rows(fn: FunctionHandle, points: list[tuple[float, ...]], method:
         estimator = (montecarlo.estimate_as if method == "mc"
                      else montecarlo.estimate_delta_star)
         name = "monte_carlo" if method == "mc" else "monte_carlo_delta_star"
-        # an estimate evaluates F(x), so it fails first wherever fn(x) would
+        # an estimate evaluates F(x), so it fails first wherever the totals would
         reports = [estimator(fn, x, args.samples, args.seed) for x in points]
         label = f"{name}(seed={reports[-1].seed}, n={reports[-1].n_samples})"
-        return label, _rows(points, [r.estimate for r in reports], [fn(x) for x in points],
+        totals = fn.evaluate_table(points, [full_mask(fn.d)])[:, 0]
+        return label, _rows(points, [r.estimate for r in reports], totals,
                            [r.standard_error for r in reports])
     if method == "sequential":
         perm = permutation_from_ranks(_parse_ranks(args.perm)) if args.perm else None
@@ -308,6 +310,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     method = _resolve_method(args.method, d)
     if args.perm and method != "sequential":
         raise ValueError("--perm needs --method sequential")
+    for name, default in (("samples", 2000), ("seed", 0), ("workers", 1)):
+        if getattr(args, name) is None:  # not given
+            setattr(args, name, default)
+        elif args.method not in ("mc", "auto"):  # auto samples above EXACT_SUBSET_CAP
+            raise ValueError(f"--{name} needs --method mc or auto")
 
     if args.dump_table:
         if not args.function:
@@ -413,7 +420,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
                                   args.discount_rate, args.threshold)
     result = decomp.delta_star_arrays(fn, [readings])
     meta = {"method": result.method, "d": d, "function": fn.label,
-            "fixed_cost_per_head": _round_sig(fn((0.0,) * d) / d)}
+            "fixed_cost_per_head": _round_sig(float(fn.evaluate_table([readings], [0])[0, 0]) / d)}
     return _report_rows(args, meta, _rows([readings], result.contributions, result.totals))
 
 
@@ -464,11 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto",
                    choices=["auto", "sequential", "as", "delta-star", "pointwise", "mc"])
     p.add_argument("--perm", help="activation ranks for --method sequential, e.g. 2,1,3")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility (>= 1); sampling runs in one "
-                        "thread and the result is the same for any value")
+    p.add_argument("--seed", type=int, help="default 0; --method mc or auto only")
+    p.add_argument("--samples", type=int, help="default 2000; --method mc or auto only")
+    p.add_argument("--workers", type=int, help="default 1, at least 1; --method mc or auto only; "
+                   "sampling runs in one thread and the result is the same for any value")
     p.add_argument("--dump-table", help="also write the masked evaluations to this CSV")
     _add_common_output(p)
     p.set_defaults(handler=cmd_decompose)

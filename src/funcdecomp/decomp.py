@@ -91,7 +91,7 @@ def _checked(fn: FunctionHandle, points: Iterable[Sequence[float]],
 
 def _origin_value(fn: FunctionHandle, points: Sequence) -> float:
     """F(0), which is the same for every point; 0.0 when there are none."""
-    return float(fn.evaluate_masks(points[0], [0])[0]) if len(points) else 0.0
+    return float(fn.evaluate_table(points[:1], [0])[0, 0]) if len(points) else 0.0
 
 
 def _require_zero_origin(fn: FunctionHandle, points: Sequence, method: str) -> float:

@@ -9,8 +9,8 @@ Evaluation conventions, chosen so the max-monomial family behaves:
 * ``sign(0) = 0``.
 
 Every handle evaluates a function on the projected points of many anchors
-through ``evaluate_table`` (``evaluate_masks`` is its one-anchor case),
-whose blocks never raise: a block leaves a non-finite value wherever the
+through ``evaluate_table``, the only way the package reads a value, whose
+blocks never raise: a block leaves a non-finite value wherever the
 scalar path must decide, and the scalar path then runs there, in order.
 Expressions and their compositions evaluate a block with numpy, and an
 expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
@@ -542,11 +542,6 @@ class FunctionHandle:
             raise invalid
         return table
 
-    def evaluate_masks(self, x: Sequence[float], masks: Iterable[int]) -> np.ndarray:
-        """Values at the projected points ``project(x, m)``, one per mask,
-        in the order given: the one-point case of ``evaluate_table``."""
-        return self.evaluate_table([x], masks)[0]
-
 
 class ExpressionFunction(FunctionHandle):
     """Function defined by parsed expression text."""
@@ -671,7 +666,7 @@ class _Reparameterized(FunctionHandle):
         return tuple(h(c) for h, c in zip(self.maps, x))
 
     def _evaluate(self, x: Point) -> float:
-        return self.fn(self._mapped(x))
+        return self.fn._finite_at(as_point(self._mapped(x), self.d))
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         # each anchor is mapped once, not once per mask; off becomes h(off),

@@ -192,8 +192,8 @@ def induced_game(fn: FunctionHandle, x: Sequence[float]) -> Game:
     exactly zero.  Each of the ``2^d`` points is evaluated once.
     """
     d = validate_dimension(fn.d, EXACT_SUBSET_CAP)
-    check_empty_coalition(fn.evaluate_masks(x, [0])[0])
-    return Game(d, np.concatenate(([0.0], fn.evaluate_masks(x, np.arange(1, 1 << d)))))
+    check_empty_coalition(fn.evaluate_table([x], [0])[0, 0])
+    return Game(d, np.concatenate(([0.0], fn.evaluate_table([x], np.arange(1, 1 << d))[0])))
 
 
 def game_from_binary_function(fn: FunctionHandle) -> Game:

@@ -61,7 +61,7 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     d = fn.d
     if d == 1:
         # Only one activation order exists: the estimate is exact.
-        return np.array([fn(point) - base]), np.zeros(1)
+        return fn.evaluate_table([point], [1])[0] - base, np.zeros(1)
     perms = np.vstack([seeded_rng(seed, c).permuted(
         np.tile(np.arange(d), (min(_CHUNK, n - start), 1)), axis=1)
         for c, start in enumerate(range(0, n, _CHUNK))])
@@ -71,7 +71,7 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     values = np.empty(len(masks))
     for start in range(0, len(order), _CHUNK * d):
         picked = order[start:start + _CHUNK * d]
-        values[picked] = fn.evaluate_masks(point, masks[picked].tolist())
+        values[picked] = fn.evaluate_table([point], masks[picked])[0]
     at_step = values[where.reshape(prefix.shape)]  # the inverse's shape varies by NumPy version
     samples = np.empty((n, d))
     np.put_along_axis(samples, perms, np.diff(at_step, axis=1, prepend=base), axis=1)
@@ -88,7 +88,7 @@ def _estimate(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
         raise ValueError(f"the sample count n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n}")
-    base = fn((0.0,) * fn.d)
+    base = float(fn.evaluate_table([point], [0])[0, 0])
     if not split_origin and abs(base) > ORIGIN_TOLERANCE:
         raise NonzeroOriginError(
             f"estimate_as needs F to vanish at the origin, got {base!r}; "

@@ -24,7 +24,6 @@ from funcdecomp.axioms import (
     Principle,
     SuiteConfig,
     check_A1_additivity,
-    check_A2_permutation,
     check_A2_permutations,
     check_A3_A6_dummy,
     check_A4_A5_linearity,
@@ -104,7 +103,7 @@ def test_a1_broken_principle_fails_with_witness():
 
 def test_a2_passes_for_delta_star_on_asymmetric_function():
     fn = ExpressionFunction("x1^2 * x2", 2)
-    verdict = check_A2_permutation(DELTA_STAR, fn, (1, 0), pts(2, 40))
+    verdict = check_A2_permutations(DELTA_STAR, fn, [(1, 0)], pts(2, 40))[0]
     assert verdict.status == PASS
     assert verdict.max_deviation <= 1e-10
 
@@ -112,22 +111,22 @@ def test_a2_passes_for_delta_star_on_asymmetric_function():
 def test_a2_passes_on_three_cycles():
     fn = ExpressionFunction("x1^2 * x2 + 3*x3", 3)
     for perm in [(1, 2, 0), (2, 0, 1)]:
-        assert check_A2_permutation(DELTA_STAR, fn, perm, pts(3, 25)).status == PASS
+        assert check_A2_permutations(DELTA_STAR, fn, [perm], pts(3, 25))[0].status == PASS
 
 
 def test_a2_symmetric_function_trivially_passes():
-    assert check_A2_permutation(DELTA_STAR, PRODUCT, (1, 0), pts(2, 25)).status == PASS
+    assert check_A2_permutations(DELTA_STAR, PRODUCT, [(1, 0)], pts(2, 25))[0].status == PASS
 
 
 def test_a2_fixed_order_sequential_fails():
-    verdict = check_A2_permutation(SEQUENTIAL_FIXED, PRODUCT, (1, 0), pts(2, 25))
+    verdict = check_A2_permutations(SEQUENTIAL_FIXED, PRODUCT, [(1, 0)], pts(2, 25))[0]
     assert verdict.status == FAIL
     assert verdict.witnesses
 
 
 def test_a2_first_coordinate_fails_on_asymmetric_function():
     fn = ExpressionFunction("x2", 2)
-    verdict = check_A2_permutation(FIRST_COORDINATE, fn, (1, 0), pts(2, 25))
+    verdict = check_A2_permutations(FIRST_COORDINATE, fn, [(1, 0)], pts(2, 25))[0]
     assert verdict.status == FAIL
 
 
@@ -136,7 +135,8 @@ def test_a2_over_several_permutations_gives_the_one_by_one_verdicts():
     perms = [(1, 2, 0), (0, 1, 2), (2, 1, 0), (1, 2, 0)]
     for principle in (DELTA_STAR, SEQUENTIAL_FIXED, FIRST_COORDINATE):
         together = check_A2_permutations(principle, fn, perms, pts(3, 12))
-        assert together == [check_A2_permutation(principle, fn, p, pts(3, 12)) for p in perms]
+        assert together == [check_A2_permutations(principle, fn, [p], pts(3, 12))[0]
+                            for p in perms]
     assert check_A2_permutations(DELTA_STAR, fn, [], pts(3, 12)) == []
 
 
@@ -157,7 +157,7 @@ def test_a2_over_several_permutations_raises_the_first_error_of_one_by_one_check
             check_A2_permutations(principle, fn, [(1, 0), (0, 1)], [(1.0, 2.0), (1.0, 0.0)])
         with pytest.raises(EvaluationError, match=re.escape(f"undefined at {where}")):
             for perm in [(1, 0), (0, 1)]:
-                check_A2_permutation(principle, fn, perm, [(1.0, 2.0), (1.0, 0.0)])
+                check_A2_permutations(principle, fn, [perm], [(1.0, 2.0), (1.0, 0.0)])[0]
 
 
 # ---------------------------------------------------------------------------

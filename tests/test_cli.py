@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from funcdecomp import cli, demo
+from funcdecomp import cli, demo, expr
 
 from oracles import all_close
 
@@ -79,6 +80,29 @@ def test_perm_needs_the_sequential_method(capsys):
         assert (code, out, err) == (2, "", "error: --perm needs --method sequential\n")
 
 
+SAMPLING_OPTIONS = [("--samples", "1"), ("--seed", "3"), ("--workers", "0")]
+
+
+@pytest.mark.parametrize("method", ["sequential", "as", "delta-star", "pointwise"])
+@pytest.mark.parametrize("option", SAMPLING_OPTIONS, ids=lambda o: o[0])
+def test_sampling_options_need_a_sampling_method(capsys, tmp_path, method, option):
+    table = tmp_path / "table.csv"
+    argv = ("decompose", "-d", "2", "-f", "x1*x2", "-x", "1,2", "--method", method)
+    assert run(capsys, *argv, *option, "--dump-table", str(table)) == (
+        2, "", f"error: {option[0]} needs --method mc or auto\n")
+    assert not table.exists()
+    # the first of --samples, --seed and --workers that was given is named
+    assert run(capsys, *argv, "--workers", "0", *option) == (
+        2, "", f"error: {option[0]} needs --method mc or auto\n")
+
+
+def test_auto_accepts_the_sampling_options_at_an_exact_dimension(capsys):
+    argv = ("decompose", "-d", "3", "-f", "x1*x2 + x3", "-x", "1,2,3")
+    given = [part for option in SAMPLING_OPTIONS for part in option]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and run(capsys, *argv, *given) == plain
+
+
 def test_decompose_method_auto_resolves_to_delta_star(capsys):
     code, payload, _ = run_json(capsys, "decompose", "-d", "2", "-f", "x1 + 7", "-x", "1,1")
     assert code == 0
@@ -121,12 +145,13 @@ def test_points_csv_errors_name_the_line(capsys, tmp_path, text, message):
 def test_points_csv_reports_the_first_error_in_point_order(capsys, tmp_path, method):
     path = tmp_path / "points.csv"
     path.write_text("x1,x2\n1,2\n-2,1\nnan,1\n")
+    samples = ("--samples", "20") if method == "mc" else ()
     code, out, err = run(capsys, "decompose", "-d", "2", "-f", "ln(x1+1)*x2",
-                         "--points-csv", str(path), "--method", method, "--samples", "20")
+                         "--points-csv", str(path), "--method", method, *samples)
     assert (code, out, err) == (2, "", "error: ln of non-positive value -1.0\n")
     # F(0) = 1: the origin check comes before the second point's domain error
     code, out, err = run(capsys, "decompose", "-d", "2", "-f", "1+ln(x1+1)*x2",
-                         "--points-csv", str(path), "--method", method, "--samples", "20")
+                         "--points-csv", str(path), "--method", method, *samples)
     if method != "delta-star":
         assert code == 4 and out == "" and err.endswith("hint: use --method delta-star\n")
     else:
@@ -216,9 +241,9 @@ def test_exit_code_4_when_the_origin_fails_before_a_later_point(capsys):
                                      (70, "")])
 def test_origin_hint_names_a_method_that_runs_at_the_dimension(capsys, d, hint):
     point = ",".join(["1"] * d)
-    for method in ("mc", "sequential"):
+    for method, samples in (("mc", ("--samples", "10")), ("sequential", ())):
         code, out, err = run(capsys, "decompose", "-d", str(d), "-f", "x1 + 1", "-x", point,
-                             "--method", method, "--samples", "10")
+                             "--method", method, *samples)
         if method == "mc" and d > 63:
             assert code == 2 and "exceeds the cap 63" in err
             continue
@@ -226,8 +251,9 @@ def test_origin_hint_names_a_method_that_runs_at_the_dimension(capsys, d, hint):
         assert err.count("\n") == 1 + bool(hint) and err.endswith("evenly\n" + hint)
     if hint:
         suggested = hint.split()[-1]
+        samples = ("--samples", "10") if suggested == "auto" else ()
         code, _, _ = run(capsys, "decompose", "-d", str(d), "-f", "x1 + 1", "-x", point,
-                         "--method", suggested, "--samples", "10")
+                         "--method", suggested, *samples)
         assert code == 0
 
 
@@ -870,6 +896,68 @@ def test_claims_model_and_estimator_checks_match_recorded_output(capsys):
     assert codes == [0, 0, 0, 2, 2, 2, 2, 4, 0, 2, 0]
     assert digest.hexdigest() == (
         "eb45abd83c4a1b9110bab40fbfe838d99022a7609fc2ced8f6e4e1999e6f4041")
+
+
+# ---------------------------------------------------------------------------
+# one way to evaluate
+
+
+def test_no_package_path_calls_a_handle_as_a_function(capsys, tmp_path, monkeypatch):
+    # the package reads F only through evaluate_table; fn(x) is for users
+    table = tmp_path / "table.csv"
+    zero = ("-f", "x1*x2 + exp(x3) - 1", "-x", "1.5,-2,0.75")
+    runs = [("decompose", "-d", "3", *zero, "--method", method)
+            for method in ("sequential", "as", "pointwise", "mc", "delta-star", "auto")]
+    runs += [
+        ("decompose", "-d", "3", "-f", "x1*x2 + 1", "-x", "1,2,3", "--method", "delta-star"),
+        ("decompose", "-d", "3", "-f", "x1*x2 + 1", "-x", "1,2,3", "--method", "mc"),
+        ("decompose", "-d", "3", "-f", "ln(x1) + x2", "-x", "1,2,3", "--method", "mc"),
+        ("decompose", "-d", "1", "-f", "x1^2", "-x", "3", "--method", "mc", "--samples", "5"),
+        ("decompose", "-d", "22", "-f", "x1*x22 + 2", "--point=" + ",".join(["0.5"] * 22),
+         "--samples", "50"),
+        ("decompose", "-d", "3", *zero, "--dump-table", str(table)),
+        ("decompose", "-d", "3", "--table-csv", str(table), "-x", "1.5,-2,0.75",
+         "--method", "mc", "--samples", "100"),
+        ("example1",), ("example2",), ("example3", "--scenarios", "1000"),
+    ]
+    runs += [("axioms", "--principle", principle, "-d", "3", "--functions", "4",
+              "--points", "5", "--perms", "2", "--seed", "11")
+             for principle in ("as-subset", "delta-star")]
+    outputs = [run(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in outputs] == [0] * 7 + [4, 2] + [0] * 9
+
+    def called(self, x):
+        raise AssertionError(f"{self.label} called as a function")
+
+    monkeypatch.setattr(expr.FunctionHandle, "__call__", called)
+    assert [run(capsys, *argv) for argv in runs] == outputs
+    fn = expr.compose_coordinate_maps(expr.ExpressionFunction("ln(x1) + x2", 2),
+                                      [expr.ScaleMap(2.0), expr.ScaleMap(1.0)])
+    with pytest.raises(expr.EvaluationError, match=r"^ln of non-positive value -2\.0$"):
+        fn.evaluate_table([(1.0, 1.0), (-1.0, 1.0)], [3])
+
+
+def test_every_benchmark_workload_runs_once_and_passes_its_check(tmp_path, monkeypatch):
+    # one op of each workload of perfbench/run.py, in process: what the
+    # benchmark would count as a failed or incorrect run fails here first
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look their module up
+    spec.loader.exec_module(bench)
+    assert bench.WORKLOADS
+    for name, workload in bench.WORKLOADS.items():
+        op = workload.make(np.random.default_rng([1, 0]))
+        folder = tmp_path / name
+        folder.mkdir()
+        for file_name, content in op.files.items():
+            (folder / file_name).write_text(content)
+        report = folder / "report"
+        argv = [a.replace("{out}", str(report)).replace("{dir}", str(folder)) for a in op.argv]
+        assert cli.main(argv) == 0, name
+        got = bench.w.read_report(str(report), workload.jsonl)
+        assert workload.check(got, op.expected) is None, name
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import core, decomp, expr
-from funcdecomp.axioms import DELTA_STAR, check_A2_permutation, sample_points
+from funcdecomp.axioms import DELTA_STAR, check_A2_permutations, sample_points
 from funcdecomp.core import DimensionMismatchError, permutation_from_ranks
 
 from oracles import close
@@ -235,7 +235,7 @@ def test_linear_combine_cases():
         expr.linear_combine([(1.0, f), (1.0, expr.ExpressionFunction("x1", 3))])
     # summed exactly: left to right, 1e16 + 1.0 - 1e16 would round to 0.0
     exact = expr.linear_combine([(1.0, expr.ExpressionFunction(f"x{i}", 3)) for i in (1, 2, 3)])
-    assert exact.evaluate_masks((1e16, 1.0, -1e16), [7, 5]).tolist() == [1.0, 0.0]
+    assert exact.evaluate_table([(1e16, 1.0, -1e16)], [7, 5])[0].tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def _scalar_table(fn, x, masks):
 
 def _raises(fn, x, masks):
     try:
-        fn.evaluate_masks(x, masks)
+        fn.evaluate_table([x], masks)[0]
     except (ValueError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return None
@@ -396,8 +396,9 @@ def test_batched_evaluation_matches_scalar_path(tree, x, masks):
         assert _raises(fn, x, masks[:first]) is None
         assert _raises(fn, x, repeated) == error
         return
-    assert fn.evaluate_masks(x, masks).tobytes() == np.array(values).tobytes()
-    assert fn.evaluate_masks(x, repeated).tobytes() == np.array(values * (expr._SHORT + 1)).tobytes()
+    assert fn.evaluate_table([x], masks)[0].tobytes() == np.array(values).tobytes()
+    assert (fn.evaluate_table([x], repeated)[0].tobytes()
+            == np.array(values * (expr._SHORT + 1)).tobytes())
 
 
 # Runs of 2^7 or 2^8 masks at d = 9: x8 and x9 lie beyond the cube axes of
@@ -480,7 +481,7 @@ def test_an_aligned_block_makes_no_scalar_evaluations(monkeypatch):
     monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
                         lambda self, y: calls.append(y) or math.nan)
     for masks, want in zip(runs, wants):
-        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
     assert calls == []
 
 
@@ -506,7 +507,7 @@ def test_overflowing_intermediates_match_the_scalar_path(tree, x, masks):
         values, error = _scalar_table(fn, x, block)
         assert _raises(fn, x, block) == error
         if error is None:
-            assert fn.evaluate_masks(x, block).tobytes() == np.array(values).tobytes()
+            assert fn.evaluate_table([x], block)[0].tobytes() == np.array(values).tobytes()
         # the block itself, with no scalar re-run to hide a missing flag: the
         # scalar value where there is one, and no finite value where it raises
         with np.errstate(all="ignore"):
@@ -554,7 +555,7 @@ def test_an_overflow_a_later_operation_hides_takes_the_block_value(monkeypatch):
     monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
                         lambda self, y: calls.append(y) or math.nan)
     for masks, want in zip(runs, wants):
-        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
     assert calls == []
 
 
@@ -574,7 +575,7 @@ def test_a_block_that_cannot_fail_makes_no_flag_array(monkeypatch):
     monkeypatch.setattr(expr, "_run_block", recorded)
     for masks in (range(1024), range(512, 1024), [7, 3, 1, 1000]):  # cubes, and gathered
         want = np.array([fn(core.project(x, m)) for m in masks])
-        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
     assert len(flags) == 3 and all(ok is True for ok in flags)
 
 
@@ -629,7 +630,7 @@ def test_compositions_evaluate_masks_like_their_scalar_path(fn, anchors, masks):
             table = fn.evaluate_table(anchors, order)
             assert table.tobytes() == np.array(values).tobytes()
             assert table.shape == (len(anchors), len(order))
-            assert fn.evaluate_masks(anchors[0], order).tobytes() == table[0].tobytes()
+            assert fn.evaluate_table([anchors[0]], order)[0].tobytes() == table[0].tobytes()
 
 
 def test_composition_errors_come_from_the_first_failing_mask():
@@ -679,7 +680,7 @@ def test_scalar_handles_call_each_point_once_up_to_the_first_error():
     native = expr.NativeFunction(fails_at_mask_5, 4)
     x = (1.0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError, match="mask 5"):
-        native.evaluate_masks(x, range(16))
+        native.evaluate_table([x], range(16))[0]
     # masks 0-5 once each, none after
     assert calls == [core.project(x, m) for m in range(6)]
 
@@ -689,7 +690,7 @@ def test_scalar_handles_call_each_point_once_up_to_the_first_error():
     other = expr.ExpressionFunction("x2 * x4", 4)
     combined = expr.linear_combine([(1.0, native), (2.0, other)])
     with pytest.raises(ValueError, match="mask 5"):
-        combined.evaluate_masks(x, range(16))
+        combined.evaluate_table([x], range(16))[0]
     assert calls == [core.project(x, m) for m in range(6)]
 
 
@@ -698,7 +699,7 @@ def test_a_sum_that_overflows_is_an_evaluation_error():
     fn = expr.linear_combine([(1.0, big), (1.0, big)])
     with pytest.raises(expr.EvaluationError, match=r"is not finite at \(1\.0, 2\.0\): nan"):
         fn((1.0, 2.0))
-    for evaluate in (lambda: fn.evaluate_masks((1.0, 2.0), range(4)),
+    for evaluate in (lambda: fn.evaluate_table([(1.0, 2.0)], range(4))[0],
                      lambda: decomp.delta_star(fn, (1.0, 2.0))):
         with pytest.raises(expr.EvaluationError, match=r"is not finite at \(0\.0, 0\.0\): nan"):
             evaluate()
@@ -712,7 +713,7 @@ def test_a_raising_block_is_not_masked(monkeypatch):
     f = expr.ExpressionFunction("x1 * x2", 2)
     for fn in (f, expr.compose_permutation(f, (1, 0)), expr.linear_combine([(2.0, f)])):
         with pytest.raises(RuntimeError, match="broken block"):
-            fn.evaluate_masks((1.0, 2.0), range(4))
+            fn.evaluate_table([(1.0, 2.0)], range(4))[0]
 
 
 def test_only_the_failing_row_is_run_through_the_scalar_path(monkeypatch):
@@ -725,7 +726,7 @@ def test_only_the_failing_row_is_run_through_the_scalar_path(monkeypatch):
                         lambda self, y, scalar=expr.ExpressionFunction._evaluate:
                         calls.append(y) or scalar(self, y))
     with pytest.raises(expr.EvaluationError, match=r"is not finite at \(1\.0, 0\.0\): nan"):
-        fn.evaluate_masks((1.0, 3.0), [0, 2, 1])
+        fn.evaluate_table([(1.0, 3.0)], [0, 2, 1])[0]
     assert calls == [(1.0, 0.0), (1.0, 0.0)]  # one call per term, at mask 1
 
 
@@ -747,7 +748,7 @@ def test_compositions_of_expressions_make_no_scalar_evaluations(monkeypatch):
                             lambda self, x, scalar=cls._evaluate: calls.append(x) or scalar(self, x))
     x = (1.5, -0.7, 2.25, -3.0)
     for fn in handles:
-        fn.evaluate_masks(x, range(16))
+        fn.evaluate_table([x], range(16))[0]
         decomp.delta_star(fn, x)
     assert calls == []
 
@@ -766,7 +767,7 @@ def test_an_axiom_check_makes_one_block_pass_per_side(monkeypatch):
                 depth[0] -= 1
         monkeypatch.setattr(cls, "_evaluate_block", counted)
     points = sample_points(4, 50, -3.0, 3.0, seed=5)
-    assert check_A2_permutation(DELTA_STAR, f, (2, 0, 3, 1), points).status == "pass"
+    assert check_A2_permutations(DELTA_STAR, f, [(2, 0, 3, 1)], points)[0].status == "pass"
     # one pass for the relabeled function and one for the function itself;
     # one point at a time made one pass per point and side, 100 in all
     assert passes == [expr._Relabeled, expr.ExpressionFunction]
@@ -778,7 +779,7 @@ def test_evaluate_table_rows_are_the_one_point_tables():
         anchors = points(3, n, seed=n)
         table = fn.evaluate_table(anchors, masks)
         assert table.shape == (n, len(masks))
-        want = np.array([fn.evaluate_masks(x, masks) for x in anchors]).reshape(n, len(masks))
+        want = np.array([fn.evaluate_table([x], masks)[0] for x in anchors]).reshape(n, len(masks))
         assert table.tobytes() == want.tobytes()
         as_array = fn.evaluate_table(np.array(anchors).reshape(n, 3), masks)
         assert as_array.tobytes() == table.tobytes()
@@ -838,7 +839,7 @@ def test_a_combination_of_one_or_two_terms_makes_a_zero_sum_positive():
         fn = expr.linear_combine(terms)
         want = [fn(core.project((0.0, 1.5), m)) for m in range(4)]
         assert want == [0.0] * 4 and all(math.copysign(1.0, v) == 1.0 for v in want)
-        assert fn.evaluate_masks((0.0, 1.5), range(4)).tobytes() == np.array(want).tobytes()
+        assert fn.evaluate_table([(0.0, 1.5)], range(4))[0].tobytes() == np.array(want).tobytes()
 
 
 def test_the_scalar_path_gets_each_projected_point_once_and_validates_anchors_once(
@@ -880,22 +881,22 @@ def test_batched_rounding_near_zero_follows_the_scalar_path():
     xs = np.random.default_rng(3).uniform(0.5, 3.0, size=400).tolist()
     outcomes = set()
     for x in xs:
-        assert signs.evaluate_masks((x,), [0, 1]).tolist() == [0.0, signs((x,))]
+        assert signs.evaluate_table([(x,)], [0, 1])[0].tolist() == [0.0, signs((x,))]
         try:
             want = fractions((x,))
         except expr.EvaluationError as exc:
             with pytest.raises(expr.EvaluationError, match=str(exc)):
-                fractions.evaluate_masks((x,), [1])
+                fractions.evaluate_table([(x,)], [1])[0]
             outcomes.add("error")
         else:
-            assert fractions.evaluate_masks((x,), [1]).tolist() == [want]
+            assert fractions.evaluate_table([(x,)], [1])[0].tolist() == [want]
             outcomes.add("value")
     assert outcomes == {"error", "value"}  # both cases were reached
 
 
 def test_batched_conventions_zero_power_and_sign():
     fn = D2("x1^0 + sign(x2)")
-    got = fn.evaluate_masks((3.0, -2.0), range(4))
+    got = fn.evaluate_table([(3.0, -2.0)], range(4))[0]
     assert got.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
@@ -905,14 +906,14 @@ def test_batched_long_block_keeps_signed_zeros_apart():
         fn = expr.ExpressionFunction(text, 1)
         masks = [0, 1] * expr.MASK_BLOCK
         want = np.tile([fn(core.project(x, m)) for m in (0, 1)], expr.MASK_BLOCK)
-        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
 
 
 def test_batched_recoverable_overflow_takes_scalar_value():
     fn = expr.ExpressionFunction("1/(x1*1e200*1e200)", 1)
-    assert fn.evaluate_masks((2.0,), [1]).tolist() == [fn((2.0,))] == [0.0]
+    assert fn.evaluate_table([(2.0,)], [1])[0].tolist() == [fn((2.0,))] == [0.0]
     with pytest.raises(expr.EvaluationError, match="division by zero"):
-        fn.evaluate_masks((2.0,), [1, 0])
+        fn.evaluate_table([(2.0,)], [1, 0])[0]
 
 
 def test_batched_value_does_not_depend_on_the_block():
@@ -920,23 +921,23 @@ def test_batched_value_does_not_depend_on_the_block():
     # again: the block keeps the scalar value, whatever block it lands in
     fn = expr.ExpressionFunction("min(x1*1e200*1e200, 5) + x2^3 + exp(x3) - ln(2 + x2)", 3)
     x = (1.5, 0.7, -1.3)
-    alone = [fn.evaluate_masks(x, [m])[0] for m in range(8)]
+    alone = [fn.evaluate_table([x], [m])[0, 0] for m in range(8)]
     assert alone == [fn(core.project(x, m)) if m & 1 else alone[m] for m in range(8)]
     many = np.tile(np.arange(8), expr.MASK_BLOCK // 8 + 3)  # crosses a block boundary
-    assert fn.evaluate_masks(x, many).tobytes() == np.tile(alone, len(many) // 8).tobytes()
+    assert fn.evaluate_table([x], many)[0].tobytes() == np.tile(alone, len(many) // 8).tobytes()
 
 
 def test_evaluate_masks_scalar_handles_and_validation():
     native = expr.NativeFunction(lambda y: y[0] - 2 * y[1], 2)
-    assert native.evaluate_masks((1.0, 3.0), [3, 0, 2]).tolist() == [-5.0, 0.0, -6.0]
+    assert native.evaluate_table([(1.0, 3.0)], [3, 0, 2])[0].tolist() == [-5.0, 0.0, -6.0]
     table = expr.TableFunction(1, [((0.0,), 1.0), ((4.0,), 2.5)])
-    assert table.evaluate_masks((4.0,), [0, 1]).tolist() == [1.0, 2.5]
+    assert table.evaluate_table([(4.0,)], [0, 1])[0].tolist() == [1.0, 2.5]
     for fn in (native, D2("x1 + x2")):
         with pytest.raises(DimensionMismatchError):
-            fn.evaluate_masks((1.0, 3.0), [4])
+            fn.evaluate_table([(1.0, 3.0)], [4])[0]
         with pytest.raises(DimensionMismatchError):
-            fn.evaluate_masks((1.0, 3.0), [-1])
-        assert fn.evaluate_masks((1.0, 3.0), []).shape == (0,)
+            fn.evaluate_table([(1.0, 3.0)], [-1])[0]
+        assert fn.evaluate_table([(1.0, 3.0)], [])[0].shape == (0,)
 
 
 def test_long_sums_and_products_evaluate_without_recursion():
@@ -947,4 +948,4 @@ def test_long_sums_and_products_evaluate_without_recursion():
     masks = range(8)
     for fn in (total, product):
         want = np.array([fn(core.project(x, m)) for m in masks])
-        assert fn.evaluate_masks(x, masks).tobytes() == want.tobytes()
+        assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
