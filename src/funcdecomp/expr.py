@@ -14,6 +14,9 @@ blocks never raise: a block leaves a non-finite value wherever the
 scalar path must decide, and the scalar path then runs there, in order.
 Expressions and their compositions evaluate a block with numpy, and an
 expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
+An expression evaluates each subtree on the sub-cube of its own varying
+variables, and gathers it to one value per mask only where it outgrows
+the block (see ``_Layout``).
 Callables and tables have no block path.  An expression is flattened
 once into a post-order program over one operation table, run by both paths.
 """
@@ -47,7 +50,8 @@ from .core import (
 # whatever the number of masks.
 MASK_BLOCK = 1 << 16
 # Operands of up to this many values call ^, exp and ln once per value
-# instead of once per distinct value (see _per_operand).
+# instead of once per distinct value (see _per_operand): a one-variable
+# operand holds 2 values per point, so blocks of up to 32 points do.
 _SHORT = 64
 
 
@@ -284,10 +288,11 @@ def _per_operand(scalar: Callable[..., float], *operands):
     broadcast shape, up to leading axes of length 1.
 
     With one varying operand of more than ``_SHORT`` values it is called
-    once per distinct value: projected points share few (a variable's
-    column holds only ``x_j`` and ``0.0``), so a block costs a few calls
-    instead of one per point.  In short operands finding the repeats costs
-    more than it saves.
+    once per distinct value: an operand over the variables ``T`` holds at
+    most ``2^|T|`` distinct values per point (``x_j`` alone holds ``x_j``
+    and ``0.0``), however many masks a gathered one repeats them over, so
+    a block costs a few calls instead of one per value.  In short operands
+    finding the repeats costs more than it saves.
     """
     varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
     if len(varying) > 1:
@@ -408,10 +413,13 @@ def _run(program: tuple, x: Sequence[float]) -> float:
     return stack[0]
 
 
-def _run_block(program: tuple, cols: list) -> tuple:
+def _run_block(program: tuple, cols: list, join: Callable) -> tuple:
     """The values of a program over a block of points, given the coordinate
     columns (indexed by variable), and flags clear where an operation of
     the scalar path raises: ``True`` where none does, or a bool array.
+    A column, like every subtree, is a ``(value, flags, axes)`` entry, and
+    ``join`` puts the two operands of a binary operation on one layout
+    (see ``_Layout``).
 
     Every value equals the scalar path's bit for bit: ``+ - * /``, negation
     and ``abs`` round as Python floats do, ``max``/``min``/``relu``/``sign``
@@ -427,18 +435,103 @@ def _run_block(program: tuple, cols: list) -> tuple:
     for step in program:
         kind = type(step)
         if kind is Var:
-            push((cols[step.index], True))
+            push(cols[step.index])
         elif kind is Num:
-            push((step.value, True))
+            push((step.value, True, ()))
         elif step.arity == 1:
-            a, ok = pop()
+            a, ok, axes = pop()
             value, own = step.batched(a)
-            push((value, own & ok))  # True & True is True: no array made
+            push((value, own & ok, axes))  # True & True is True: no array made
         else:
-            (b, ok_b), (a, ok_a) = pop(), pop()
+            right, left = pop(), pop()
+            if left[2] != right[2]:
+                left, right = join(left, right)
+            (a, ok_a, axes), (b, ok_b, _) = left, right
             value, own = step.batched(a, b)
-            push((value, own & ok_a & ok_b))
+            push((value, own & ok_a & ok_b, axes))
     return stack[0]
+
+
+class _Layout:
+    """Where the subtrees of one block are evaluated.  A variable whose bit
+    is the same in all the block's masks is one constant per point; every
+    other is a 2-value axis.  A subtree over the varying variables ``axes``
+    (highest first) lives on their sub-cube: an array of shape ``(points,
+    2, ..., 2)`` whose C-order flattening reads the variables' bits as a
+    binary number, or a single number.  Where two operands together span
+    more points than the block has masks, both are gathered to one value
+    per mask, shape ``(points, masks)``, and ``axes`` is None: no array has
+    more than ``log2(masks)`` axes of a sub-cube.  Where all the block's
+    varying variables fit in one sub-cube, every column is put on it from
+    the start, with length-1 axes for the variables it does not read, and
+    nothing moves.  Flags may be narrower than their value, and are
+    broadcast to it when the value moves.
+
+    ``lifts`` is the handle's record of each pair of operand axes met so
+    far: their union's axes, and the shape each operand takes there.  It
+    depends on the pair alone, so threads that fill it at once store equal
+    entries.
+    """
+
+    def __init__(self, points: int, masks: np.ndarray, lifts: dict) -> None:
+        self.points, self.masks, self.lifts = points, masks, lifts
+        self.depth = len(masks).bit_length() - 1  # the most axes of a sub-cube
+        self._indices: dict = {}  # per axes, each mask's point of their sub-cube
+
+    def join(self, a: tuple, b: tuple) -> tuple:
+        """Two stack entries of different axes moved to one layout."""
+        (va, ok_a, own_a), (vb, ok_b, own_b) = a, b
+        if own_b == () and _scalar(vb):
+            return a, (vb, ok_b, own_a)
+        if own_a == () and _scalar(va):
+            return (va, ok_a, own_b), b
+        if own_a is not None and own_b is not None:
+            axes, tail_a, tail_b = self.union(own_a, own_b)
+            if len(axes) <= self.depth:
+                return (*_lift(va, ok_a, tail_a), axes), (*_lift(vb, ok_b, tail_b), axes)
+        return (*self.gather(va, ok_a, own_a), None), (*self.gather(vb, ok_b, own_b), None)
+
+    def union(self, own_a: tuple, own_b: tuple) -> tuple:
+        """The axes of two sub-cubes' union, and each one's shape there
+        after its points axis."""
+        lift = self.lifts.get((own_a, own_b))
+        if lift is None:
+            axes = tuple(sorted({*own_a, *own_b}, reverse=True))
+            lift = self.lifts[own_a, own_b] = (
+                axes, *(tuple(2 if j in own else 1 for j in axes) for own in (own_a, own_b)))
+        return lift
+
+    def gather(self, value, ok, axes) -> tuple:
+        """A value and its flags on the sub-cube of ``axes`` as one per mask."""
+        if axes is None or _scalar(value):
+            return value, ok
+        if ok is not True:
+            ok = self.gather(np.broadcast_to(ok, value.shape), True, axes)[0]
+        if not axes:
+            return value.reshape(-1, 1), ok
+        index = self._indices.get(axes)
+        if index is None:
+            index = 0
+            for place, j in enumerate(reversed(axes)):  # j >= place: bit j moves down
+                index = index | (self.masks >> (j - place) & 1 << place)
+            index = self._indices[axes] = np.asarray(index, dtype=np.intp)
+        return value.reshape(self.points, -1)[:, index], ok
+
+
+def _scalar(value) -> bool:
+    """Whether a value is one number, which broadcasts against any layout."""
+    return type(value) is not np.ndarray or value.size == 1
+
+
+def _lift(value, ok, tail: tuple) -> tuple:
+    """A value and its flags on a sub-cube moved to a larger one, where the
+    value takes the shape ``tail`` after its points axis."""
+    if _scalar(value):
+        return value, ok
+    shape = value.shape[:1] + tail
+    if ok is not True:
+        ok = np.broadcast_to(ok, value.shape).reshape(shape)
+    return value.reshape(shape), ok
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +646,7 @@ class ExpressionFunction(FunctionHandle):
         self.label = text
         self._program = _flatten(self.tree)
         self._variables = sorted({step.index for step in self._program if type(step) is Var})
+        self._lifts: dict = {}  # see _Layout
 
     def _evaluate(self, x: Point) -> float:
         return float(_run(self._program, x))
@@ -561,31 +655,46 @@ class ExpressionFunction(FunctionHandle):
         """The program run with numpy over the block's coordinate columns:
         NaN where an operation of the scalar path raises, else its value.
 
-        The block has shape ``(anchors, runs, 2, ..., 2)``, whose C-order
-        flattening is mask order: ``runs`` aligned runs ``m0 .. m0 + 2^k -
-        1``, with heads ``m0 = masks[::2^k]`` multiples of ``2^k``.
-        Variable ``j < k`` takes ``[off_j, a_j]`` on the axis of bit j (bit
-        0 last), and variable ``j >= k`` the value bit j of its run's head
-        picks, so broadcasting evaluates each subtree only at the points
-        its own variables take.  ``k`` is 0, one column entry per point,
-        unless the block is one aligned run of two or more masks, such as a
-        whole table's row.
+        Each subtree is evaluated on the sub-cube of its own varying
+        variables, or per mask once it outgrows the block (see
+        ``_Layout``).  Variable j takes ``[off_j, a_j]`` where its bit
+        varies, else ``a_j`` or ``off_j`` as the bit is set in every mask or
+        in none.  A block that is one aligned run ``m0 .. m0 + 2^k - 1``,
+        ``m0`` a multiple of ``2^k``, such as a whole table's row, is the
+        root's sub-cube broadcast to the full cube ``(anchors, 2, ..., 2)``
+        of bits ``k - 1 .. 0``; any other block gathers the root per mask.
         """
-        n, k = len(masks), len(masks).bit_length() - 1
-        if not (n > 1 and n == 1 << k and masks[0] % n == 0
-                and (np.diff(masks) == 1).all()):
-            k = 0
-        heads = masks[::1 << k]
-        shape = (len(anchors), len(heads)) + (2,) * k
+        points, n = len(anchors), len(masks)
+        layout = _Layout(points, masks, self._lifts)
+        k = layout.depth
+        run = n > 1 and n == 1 << k and masks[0] % n == 0 and (np.diff(masks) == 1).all()
+        if run:  # bits k and up are m0's, and every bit below k varies
+            every, varying = int(masks[0]), n - 1
+        else:
+            every = int(np.bitwise_and.reduce(masks))
+            varying = int(np.bitwise_or.reduce(masks)) ^ every
+        wide = tuple(j for j in reversed(self._variables) if varying >> j & 1)
+        shared = len(wide) <= k  # every union fits when all varying variables do
         cols: list = [None] * self.d
         for j in self._variables:
-            if j < k:  # bit j varies along its own axis
-                bit = np.array([0, 1]).reshape((1, 1) + (1,) * (k - 1 - j) + (2,) + (1,) * j)
-            else:  # bit j is the run head's
-                bit = (heads >> j & 1).reshape((1, -1) + (1,) * k)
-            cols[j] = np.where(bit, anchors[:, j].reshape((-1,) + (1,) * (k + 1)), off[j])
-        values, ok = _run_block(self._program, cols)
-        block = np.empty(shape)
+            axes = wide if shared else (j,) if varying >> j & 1 else ()
+            ones = (1,) * len(axes)
+            on = anchors[:, j].reshape((points,) + ones)
+            if varying >> j & 1:  # off, then on, along its own axis
+                i = axes.index(j)
+                bit = np.array([False, True]).reshape(ones[:i] + (2,) + ones[i + 1:])
+                value = np.where(bit, on, off[j])
+            else:
+                value = on if every >> j & 1 else off[j]
+            cols[j] = (value, True, axes)
+        values, ok, axes = _run_block(self._program, cols, layout.join)
+        if run:
+            cube = tuple(range(k - 1, -1, -1))
+            values, ok = _lift(values, ok, layout.union(axes, cube)[1])
+            block = np.empty((points,) + (2,) * k)
+        else:
+            values, ok = layout.gather(values, ok, axes)
+            block = np.empty((points, n))
         block[...] = values if ok is True else np.where(ok, values, math.nan)
         return block.reshape(-1)
 

@@ -1,9 +1,11 @@
+import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import core, decomp, expr
@@ -450,11 +452,106 @@ def test_aligned_and_unaligned_blocks_match_the_scalar_path(tree, anchors, masks
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _wide_trees(d):
+    """Sums and products of 3 to 7 small trees over variables anywhere in
+    1..d, with powers of one variable to another, and a guarded division
+    whose flags read one variable under a product of others."""
+    def branch(children):
+        return st.one_of(_batch_branch(children), st.tuples(children, st.integers(0, d - 1)).map(
+            lambda t: expr.Bin("/", expr.Bin("*", t[0], expr.Var(t[1])),
+                               expr.Bin("-", expr.Var(t[1]), expr.Num(0.5)))))
+
+    variables = st.integers(0, d - 1).map(expr.Var)
+    powers = st.tuples(variables, variables).map(lambda t: expr.Bin("^", *t))
+    parts = st.recursive(st.one_of(variables, variables, powers, st.sampled_from(
+        [0.5, 2.0, 3.0]).map(expr.Num)), branch, max_leaves=5)
+    return st.tuples(st.lists(parts, min_size=3, max_size=7),
+                     st.lists(st.sampled_from("+-*"), min_size=6, max_size=6)).map(
+        lambda t: functools.reduce(lambda tree, step: expr.Bin(step[1], tree, step[0]),
+                                   zip(t[0][1:], t[1]), t[0][0]))
+
+
+@st.composite
+def _wide_masks(draw, d):
+    """2 to 48 masks in no order, with repeats, whose bits outside a drawn
+    set are those of one base mask; or an aligned run with high bits set."""
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(1, 5))
+        m0 = draw(st.integers(0, (1 << d - k) - 1)) << k
+        return list(range(m0, m0 + (1 << k)))
+    masks = st.integers(0, (1 << d) - 1)
+    free, base = draw(masks) | draw(masks), draw(masks)  # about 3/4 of the bits vary
+    pool = [m & free | base & ~free for m in
+            draw(st.lists(masks, min_size=2, max_size=24))]
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=48))
+
+
+def _wide_case(d):
+    return st.tuples(st.just(d), _wide_trees(d), st.integers(1, 3), st.integers(0, 2**32 - 1),
+                     _wide_masks(d))
+
+
+# x1^x2 with both operands varying, and the flags of x1 * x10 / (x1 - 0.5),
+# which read x1 alone, under a product that outgrows the block
+_POWER_OF_TWO_VARYING = expr.Bin("*", expr.Bin("^", expr.Var(0), expr.Var(1)), expr.Var(38))
+_NARROW_FLAGS = {d: expr.Bin("*", expr.Bin(
+    "/", expr.Bin("*", expr.Var(0), expr.Var(9)), expr.Bin("-", expr.Var(0), expr.Num(0.5))),
+    expr.Bin("+", expr.Bin("+", expr.Var(d // 2), expr.Var(d - 9)), expr.Var(d - 1)))
+    for d in (63, 100)}
+
+
+def _spread_masks(d):
+    """Six masks over the variables of ``_NARROW_FLAGS[d]``, x1 in four."""
+    bits = [1 << j for j in (0, 9, d // 2, d - 9, d - 1)]
+    return [bits[0] | bits[1], bits[0], bits[2] | bits[4], bits[0] | bits[3] | bits[1],
+            bits[1], bits[4] | bits[0]]
+
+
+@given(st.one_of(_wide_case(40), _wide_case(63), _wide_case(100)))
+@example((40, _POWER_OF_TWO_VARYING, 3, 0, [3, 1 << 38 | 2, 1, 0, 3, 1 << 38]))
+@example((63, _NARROW_FLAGS[63], 2, 21, _spread_masks(63)))  # seed 21: x1 = 0.5 first
+@example((100, _NARROW_FLAGS[100], 2, 21, _spread_masks(100)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_wide_blocks_match_the_scalar_path(case):
+    # d = 40 and 63 have int64 masks, d = 100 object ones; with a few masks
+    # the unions of spread variables outgrow the block and are gathered
+    d, tree, n, seed, masks = case
+    fn = expr.ExpressionFunction(format_expression(tree), d)
+    rng = np.random.default_rng(seed)
+    anchors = [tuple(rng.choice([-0.0, 0.5, 1.5, -2.0, 3.0, -0.75], size=d).tolist())
+               for _ in range(n)]
+    validated = core.validate_masks(masks, d)
+    assert validated.dtype == (np.int64 if d <= 63 else object)
+    # the block leaves NaN exactly where the scalar path raises, and every
+    # other value is the scalar one, bit for bit
+    want, first = [], None
+    for x in anchors:
+        for m in masks:
+            point = core.project(x, m)
+            try:
+                want.append(fn._evaluate(point))
+            except expr.EvaluationError as exc:
+                want.append(math.nan)
+                first = first or f"EvaluationError: {exc}"
+            else:
+                if first is None and not math.isfinite(want[-1]):
+                    first = f"EvaluationError: {fn.label} is not finite at {point}: {want[-1]!r}"
+    with np.errstate(all="ignore"):
+        block = fn._evaluate_block(np.array(anchors), (0.0,) * d, validated)
+    assert block.tobytes() == np.array(want).tobytes()
+    # and the table raises the scalar path's first error, or is its values
+    if first is not None:
+        assert _table_raises(fn, anchors, masks) == first
+    else:
+        assert fn.evaluate_table(anchors, masks).tobytes() == np.array(want).tobytes()
+
+
 def test_every_aligned_run_matches_the_scalar_path():
-    # every run m0 .. m0 + 2^k - 1 of every size at d = 10: runs of up to
-    # 2^6 masks gather, longer ones are cubes, on which each of x8 to x10
-    # lies on a cube axis in some runs and is fixed by a bit of m0 in
-    # others; the block itself is checked, so a scalar re-run hides nothing
+    # every run m0 .. m0 + 2^k - 1 of every size at d = 10: each run of two
+    # or more masks is its sub-cube broadcast to the full cube, on which
+    # each of x8 to x10 is an axis in some runs and a constant per point,
+    # fixed by a bit of m0, in others; a run of one mask is gathered; the
+    # block itself is checked, so a scalar re-run hides nothing
     fn = expr.ExpressionFunction(
         "x1*x2^3 - exp(x3/4)*x8 + ln(2 + x9^2)*x7 + 3*x10 - x2/7 + x8*x9*x10", 10)
     anchors = [(1.5, -0.7, 2.25, -3.0, 0.5, 1.25, -2.0, 0.75, 1.1, -1.3),
@@ -549,7 +646,9 @@ def test_an_overflow_a_later_operation_hides_takes_the_block_value(monkeypatch):
     # x1*1e200*1e200 is inf wherever x1 is on, and min(inf, 5) is 5 on both paths
     fn = expr.ExpressionFunction("min(x1*1e200*1e200, 5) + x2", 7)
     x = (1.5, 0.7, -1.3, 2.0, 0.5, -0.25, 3.0)
-    runs = (range(128), [3, 0, 1, 1, 2])  # a cube, and gathered
+    # an aligned run, broadcast to its cube, and masks out of order, on
+    # whose sub-cube of x1 and x2 the root is gathered per mask
+    runs = (range(128), [3, 0, 1, 1, 2])
     wants = [np.array([fn(core.project(x, m)) for m in masks]) for masks in runs]
     calls = []
     monkeypatch.setattr(expr.ExpressionFunction, "_evaluate",
@@ -567,13 +666,16 @@ def test_a_block_that_cannot_fail_makes_no_flag_array(monkeypatch):
     x = (-1.5, 0.7, 1.25, 0.9, -1.1, 0.6, 1.3, -0.8, 1.4, 0.55)
     flags = []
 
-    def recorded(program, cols, run=expr._run_block):
-        values, ok = run(program, cols)
+    def recorded(program, cols, join, run=expr._run_block):
+        values, ok, axes = run(program, cols, join)
         flags.append(ok)
-        return values, ok
+        return values, ok, axes
 
     monkeypatch.setattr(expr, "_run_block", recorded)
-    for masks in (range(1024), range(512, 1024), [7, 3, 1, 1000]):  # cubes, and gathered
+    # two aligned runs, broadcast to their cubes, and four masks on which
+    # the products of the varying variables outgrow the block and are
+    # gathered per mask
+    for masks in (range(1024), range(512, 1024), [7, 3, 1, 1000]):
         want = np.array([fn(core.project(x, m)) for m in masks])
         assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
     assert len(flags) == 3 and all(ok is True for ok in flags)
@@ -829,6 +931,68 @@ def test_rows_of_whole_tables_are_cubes(monkeypatch):
     assert sizes == [100, 100]
     want = [fn(core.project(x, m)) for x in anchors for m in range(16)]
     assert table.tobytes() == np.array(want).tobytes()
+
+
+# A polynomial shaped like the benchmark's sampled one: eight terms on
+# disjoint supports of 1 to 6 of the 40 variables, every factor a power of
+# one variable.
+_SAMPLED_POLYNOMIAL = (
+    "1.8 - 1.5*max(x22,0)^2 + 3.5*max(x15,0)^1*max(x36,0)^3 + 0.42*x5^1*x31^3"
+    " + 1.6*x1^1*x7^2*x27^2 + 0.28*x14^2*x23^1*x38^3"
+    " + 1.37*x19^1*max(x30,0)^3*max(-x39,0)^3*x40^1"
+    " - 1.37*max(x2,0)^2*x3^1*max(-x4,0)^3*max(-x9,0)^3*max(x13,0)^1"
+    " - 5.4*max(x12,0)^1*max(x17,0)^3*x18^1*max(x26,0)^2*x29^3*max(-x32,0)^3")
+_SAMPLED_POINT = tuple(float(s * m) for s, m in zip(
+    np.random.default_rng(4).choice([-1.0, 1.0], size=40),
+    np.random.default_rng(5).uniform(0.5, 1.5, size=40)))
+
+
+def _prefix_masks(d, orders, seed):
+    """The distinct prefix masks of seeded orders, as the sampler has them."""
+    perms = core.seeded_rng(seed, 0).permuted(np.tile(np.arange(d), (orders, 1)), axis=1)
+    return np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1))
+
+
+def test_each_operand_of_a_power_holds_only_its_own_sub_cube(monkeypatch):
+    # one block of about 10k prefix masks at d = 40, where every variable
+    # varies: each base of ^ reads one variable T, so it holds 2^|T| = 2
+    # values for the point, not one per mask; expressions parsed after the
+    # patch run the recording ^
+    sizes = []
+    power = expr._OPERATIONS["^"]
+    monkeypatch.setitem(expr._OPERATIONS, "^", power._replace(
+        batched=lambda a, b: sizes.append((np.size(a), np.size(b))) or power.batched(a, b)))
+    fn = expr.ExpressionFunction(_SAMPLED_POLYNOMIAL, 40)
+    masks = _prefix_masks(40, 256, seed=7)
+    assert 9000 < len(masks) <= expr.MASK_BLOCK
+    table = fn.evaluate_table([_SAMPLED_POINT], masks)
+    assert sizes == [(2, 1)] * 26
+    want = [fn(core.project(_SAMPLED_POINT, m)) for m in masks.tolist()]
+    assert table.tobytes() == np.array([want]).tobytes()
+
+    # both sides of an A2 check at d = 4: the relabeled function's permuted
+    # masks span the same sub-cubes as the function's own, 2 values of a
+    # variable for each of the 50 points, not 16
+    sizes.clear()
+    fn = expr.ExpressionFunction("x1^3 * x2 - max(x3, 0)^2 + x4", 4)
+    points = sample_points(4, 50, -3.0, 3.0, seed=5)
+    assert check_A2_permutations(DELTA_STAR, fn, [(2, 0, 3, 1)], points)[0].status == "pass"
+    assert sizes == [(100, 1)] * 4
+
+
+def test_a_sampled_block_needs_a_few_tables_of_memory():
+    # no intermediate holds one value per mask for every variable: the peak
+    # of one d = 40 table of about 9.5k prefix masks stays a few times the
+    # table itself
+    fn = expr.ExpressionFunction(_SAMPLED_POLYNOMIAL, 40)
+    masks = _prefix_masks(40, 256, seed=3)
+    tracemalloc.start()
+    try:
+        table = fn.evaluate_table([_SAMPLED_POINT], masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * table.nbytes
 
 
 def test_a_combination_of_one_or_two_terms_makes_a_zero_sum_positive():
