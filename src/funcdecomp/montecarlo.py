@@ -5,7 +5,9 @@ Activation orders are drawn uniformly from counter-based random streams:
 the orders of sample chunk ``c`` of a run with seed ``s`` always come from the
 stream ``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.
 Chunks only key the streams: F is evaluated once at every distinct prefix
-mask of all the drawn orders.  Everything runs in one thread.
+mask of all the drawn orders, in (first chunk, mask) order, by calls of at
+most half an evaluation block (``expr.MASK_BLOCK // 2`` masks).  Everything
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     seeded_rng,
     validate_dimension,
 )
-from .expr import FunctionHandle
+from .expr import MASK_BLOCK, FunctionHandle
 
 _CHUNK = 256  # samples per random stream; fixed, part of the reproducibility contract
 
@@ -49,14 +51,38 @@ class EstimatorReport:
         return math.fsum(self.estimate)
 
 
+def _distinct_prefixes(prefix: np.ndarray,
+                       d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct masks of ``prefix`` ascending, the order to evaluate them
+    in (by the chunk that first reaches each, then ascending) and, for each
+    prefix, the index of its mask.
+
+    One unstable sort of all the prefixes: a mask's first reach is the least
+    index among its copies, whatever order the sort leaves them in, and a
+    stable sort of those chunk ids over the ascending masks gives the
+    evaluation order.
+    """
+    flat = prefix.ravel()
+    by_mask = np.argsort(flat)
+    ascending = flat[by_mask]
+    new = np.concatenate(([True], ascending[1:] != ascending[:-1]))
+    starts = np.flatnonzero(new)
+    chunk = np.minimum.reduceat(by_mask, starts) // (_CHUNK * d)
+    order = np.argsort(chunk.astype(np.min_scalar_type(chunk.max())), kind="stable")
+    where = np.empty_like(by_mask)
+    where[by_mask] = np.cumsum(new) - 1
+    return ascending[starts], order, where.reshape(prefix.shape)
+
+
 def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over ``n`` sampled orders of the per-step
     changes of F, starting from ``base`` at the origin.
 
-    F is evaluated once at each distinct prefix mask, by the chunk that first
-    reaches it and ascending within that chunk (so the first failing mask is
-    a chunk-by-chunk walk's), at most one chunk's worth of masks per call.
+    F is evaluated once at each distinct prefix mask, in (first chunk, mask)
+    order: by the chunk that first reaches it and ascending within that
+    chunk, so the first failing mask is a chunk-by-chunk walk's.  Each call
+    takes at most half an evaluation block of masks.
     """
     d = fn.d
     if d == 1:
@@ -65,16 +91,15 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     perms = np.vstack([seeded_rng(seed, c).permuted(
         np.tile(np.arange(d), (min(_CHUNK, n - start), 1)), axis=1)
         for c, start in enumerate(range(0, n, _CHUNK))])
-    prefix = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
-    masks, first, where = np.unique(prefix, return_index=True, return_inverse=True)
-    order = np.lexsort((masks, first // (_CHUNK * d)))
+    masks, order, where = _distinct_prefixes(
+        np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1), d)
     values = np.empty(len(masks))
-    for start in range(0, len(order), _CHUNK * d):
-        picked = order[start:start + _CHUNK * d]
+    # No value depends on the call width; full blocks raised the peak memory.
+    for start in range(0, len(order), MASK_BLOCK // 2):
+        picked = order[start:start + MASK_BLOCK // 2]
         values[picked] = fn.evaluate_table([point], masks[picked])[0]
-    at_step = values[where.reshape(prefix.shape)]  # the inverse's shape varies by NumPy version
     samples = np.empty((n, d))
-    np.put_along_axis(samples, perms, np.diff(at_step, axis=1, prepend=base), axis=1)
+    np.put_along_axis(samples, perms, np.diff(values[where], axis=1, prepend=base), axis=1)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
@@ -88,6 +113,8 @@ def _estimate(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
         raise ValueError(f"the sample count n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"the seed must be an integer, got {seed!r}")
     base = float(fn.evaluate_table([point], [0])[0, 0])
     if not split_origin and abs(base) > ORIGIN_TOLERANCE:
         raise NonzeroOriginError(
@@ -105,8 +132,9 @@ def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int) -> Es
     """Estimate the averaged sequential contributions from ``n`` uniformly
     sampled activation orders.
 
-    Requires the function to vanish at the origin, ``n >= 2`` (a single
-    sample has no variance estimate) and ``d <= MASK_DIMENSION_CAP``.
+    Requires the function to vanish at the origin, an integer ``n >= 2``
+    (a single sample has no variance estimate), an integer seed and
+    ``d <= MASK_DIMENSION_CAP``.
     Fixed ``(fn, x, n, seed)`` gives a bitwise-identical report.
     """
     return _estimate(fn, x, n, seed, split_origin=False)

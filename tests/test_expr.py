@@ -13,6 +13,7 @@ from funcdecomp.axioms import DELTA_STAR, check_A2_permutations, sample_points
 from funcdecomp.core import DimensionMismatchError, permutation_from_ranks
 
 from oracles import close
+from polynomials import SAMPLED_POINT, SAMPLED_POLYNOMIAL
 
 D2 = lambda text: expr.ExpressionFunction(text, 2)  # noqa: E731
 
@@ -933,22 +934,8 @@ def test_rows_of_whole_tables_are_cubes(monkeypatch):
     assert table.tobytes() == np.array(want).tobytes()
 
 
-# A polynomial shaped like the benchmark's sampled one: eight terms on
-# disjoint supports of 1 to 6 of the 40 variables, every factor a power of
-# one variable.
-_SAMPLED_POLYNOMIAL = (
-    "1.8 - 1.5*max(x22,0)^2 + 3.5*max(x15,0)^1*max(x36,0)^3 + 0.42*x5^1*x31^3"
-    " + 1.6*x1^1*x7^2*x27^2 + 0.28*x14^2*x23^1*x38^3"
-    " + 1.37*x19^1*max(x30,0)^3*max(-x39,0)^3*x40^1"
-    " - 1.37*max(x2,0)^2*x3^1*max(-x4,0)^3*max(-x9,0)^3*max(x13,0)^1"
-    " - 5.4*max(x12,0)^1*max(x17,0)^3*x18^1*max(x26,0)^2*x29^3*max(-x32,0)^3")
-_SAMPLED_POINT = tuple(float(s * m) for s, m in zip(
-    np.random.default_rng(4).choice([-1.0, 1.0], size=40),
-    np.random.default_rng(5).uniform(0.5, 1.5, size=40)))
-
-
 def _prefix_masks(d, orders, seed):
-    """The distinct prefix masks of seeded orders, as the sampler has them."""
+    """The distinct prefix masks of seeded orders, sorted."""
     perms = core.seeded_rng(seed, 0).permuted(np.tile(np.arange(d), (orders, 1)), axis=1)
     return np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1))
 
@@ -962,12 +949,12 @@ def test_each_operand_of_a_power_holds_only_its_own_sub_cube(monkeypatch):
     power = expr._OPERATIONS["^"]
     monkeypatch.setitem(expr._OPERATIONS, "^", power._replace(
         batched=lambda a, b: sizes.append((np.size(a), np.size(b))) or power.batched(a, b)))
-    fn = expr.ExpressionFunction(_SAMPLED_POLYNOMIAL, 40)
+    fn = expr.ExpressionFunction(SAMPLED_POLYNOMIAL, 40)
     masks = _prefix_masks(40, 256, seed=7)
     assert 9000 < len(masks) <= expr.MASK_BLOCK
-    table = fn.evaluate_table([_SAMPLED_POINT], masks)
+    table = fn.evaluate_table([SAMPLED_POINT], masks)
     assert sizes == [(2, 1)] * 26
-    want = [fn(core.project(_SAMPLED_POINT, m)) for m in masks.tolist()]
+    want = [fn(core.project(SAMPLED_POINT, m)) for m in masks.tolist()]
     assert table.tobytes() == np.array([want]).tobytes()
 
     # both sides of an A2 check at d = 4: the relabeled function's permuted
@@ -982,17 +969,17 @@ def test_each_operand_of_a_power_holds_only_its_own_sub_cube(monkeypatch):
 
 def test_a_sampled_block_needs_a_few_tables_of_memory():
     # no intermediate holds one value per mask for every variable: the peak
-    # of one d = 40 table of about 9.5k prefix masks stays a few times the
-    # table itself
-    fn = expr.ExpressionFunction(_SAMPLED_POLYNOMIAL, 40)
-    masks = _prefix_masks(40, 256, seed=3)
-    tracemalloc.start()
-    try:
-        table = fn.evaluate_table([_SAMPLED_POINT], masks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * table.nbytes
+    # of one d = 40 table of prefix masks stays a few times the table itself,
+    # for about 9.5k masks and for one of the sampler's 32,768-mask calls
+    fn = expr.ExpressionFunction(SAMPLED_POLYNOMIAL, 40)
+    for masks in (_prefix_masks(40, 256, seed=3), _prefix_masks(40, 1024, seed=3)[:1 << 15]):
+        tracemalloc.start()
+        try:
+            table = fn.evaluate_table([SAMPLED_POINT], masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * table.nbytes
 
 
 def test_a_combination_of_one_or_two_terms_makes_a_zero_sum_positive():

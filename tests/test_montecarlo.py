@@ -1,13 +1,16 @@
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from funcdecomp import cli, decomp, montecarlo
-from funcdecomp.core import DimensionMismatchError, NonzeroOriginError
-from funcdecomp.expr import ExpressionFunction, NativeFunction
+from funcdecomp.core import DimensionMismatchError, NonzeroOriginError, as_point, seeded_rng
+from funcdecomp.expr import MASK_BLOCK, ExpressionFunction, NativeFunction
 
 from oracles import close
+from polynomials import SAMPLED_POINT, SAMPLED_POLYNOMIAL
 
 PRODUCT = ExpressionFunction("x1*x2", 2)
 
@@ -134,6 +137,16 @@ def test_sample_count_must_be_an_integer():
                 estimator(PRODUCT, (1.0, 1.0), n=n, seed=0)
 
 
+def test_seed_must_be_an_integer():
+    for estimator in (montecarlo.estimate_as, montecarlo.estimate_delta_star):
+        for seed in (1.5, math.nan, True, "7", None):
+            with pytest.raises(ValueError, match=r"seed must be an integer"):
+                estimator(PRODUCT, (1.0, 1.0), n=100, seed=seed)
+        report = estimator(PRODUCT, (1.0, 1.0), n=100, seed=np.int64(7))
+        assert report == estimator(PRODUCT, (1.0, 1.0), n=100, seed=7)
+        assert type(report.seed) is int
+
+
 # ---------------------------------------------------------------------------
 # Reports, first errors and evaluation counts pinned to recorded values: a
 # change to the sampler's bits, evaluation order or evaluation count shows here.
@@ -199,6 +212,60 @@ def test_one_evaluation_at_the_origin_and_at_each_distinct_prefix():
     fn = NativeFunction(counted, 12, label="counted")
     montecarlo.estimate_delta_star(fn, (1.0,) * 12, n=1000, seed=3)
     assert len(calls) == len(set(calls)) == 3218
+
+
+def _reference_sample(fn, x, base, n, seed):
+    """The masks `_sample` evaluates, in order, and its mean and standard
+    error, as np.unique and np.lexsort first gave them."""
+    d = fn.d
+    perms = np.vstack([seeded_rng(seed, c).permuted(
+        np.tile(np.arange(d), (min(montecarlo._CHUNK, n - start), 1)), axis=1)
+        for c, start in enumerate(range(0, n, montecarlo._CHUNK))])
+    prefix = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
+    masks, first, where = np.unique(prefix, return_index=True, return_inverse=True)
+    order = np.lexsort((masks, first // (montecarlo._CHUNK * d)))
+    values = np.empty(len(masks))
+    values[order] = fn.evaluate_table([x], masks[order])[0]
+    samples = np.empty((n, d))
+    np.put_along_axis(samples, perms, np.diff(values[where.reshape(prefix.shape)], axis=1,
+                                              prepend=base), axis=1)
+    return masks[order], samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2000), (3, 2000), (12, 70_000), (40, 2000), (63, 2000),
+                                  (40, 2), (40, 255), (40, 256), (40, 257)])
+def test_each_distinct_prefix_is_evaluated_once_in_chunk_order(monkeypatch, d, n):
+    # d = 12 and n = 70,000 make 274 chunks, more than an 8-bit chunk id holds
+    fn, x = _golden_function(d, 1.25), as_point(_golden_point(d))
+    want_masks, want_mean, want_se = _reference_sample(fn, x, 0.5, n, seed=9)
+    calls = []
+    evaluate = ExpressionFunction.evaluate_table
+    monkeypatch.setattr(ExpressionFunction, "evaluate_table", lambda self, points, masks: (
+        calls.append(np.array(masks)) or evaluate(self, points, masks)))
+    mean, se = montecarlo._sample(fn, x, 0.5, n, seed=9)
+    masks = np.concatenate(calls)
+    assert masks.tolist() == want_masks.tolist()
+    assert len(np.unique(masks)) == len(masks)
+    # every call but the last is half an evaluation block
+    assert [len(c) for c in calls[:-1]] == [MASK_BLOCK // 2] * (len(calls) - 1)
+    assert 0 < len(calls[-1]) <= MASK_BLOCK // 2
+    assert mean.tobytes() == want_mean.tobytes() and se.tobytes() == want_se.tobytes()
+
+
+def test_a_sampled_estimate_needs_a_few_tables_of_memory():
+    # the tracemalloc peak of one estimate at d = 40 and n = 2000, in units of
+    # the n * d float64 table (625 KiB): 10.8 with np.unique, np.lexsort and
+    # 10,240-mask calls, 9.8 with one argsort and 32,768-mask calls, 11.2 with
+    # one argsort and 65,536-mask calls
+    fn = ExpressionFunction(SAMPLED_POLYNOMIAL, 40)
+    montecarlo.estimate_delta_star(fn, SAMPLED_POINT, n=2000, seed=3)  # fills fn's layout cache
+    tracemalloc.start()
+    try:
+        montecarlo.estimate_delta_star(fn, SAMPLED_POINT, n=2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2000 * 40 * 8
 
 
 # ---------------------------------------------------------------------------
