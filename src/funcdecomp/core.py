@@ -115,10 +115,13 @@ def validate_mask(mask: int, d: int) -> int:
 
 def validate_masks(masks: Iterable[int], d: int) -> np.ndarray:
     """Freeze a sequence of subset masks into a 1-D array, rejecting any
-    mask with bits beyond dimension ``d``.  The array is int64 up to
-    ``MASK_DIMENSION_CAP`` and holds Python ints above it."""
-    if not isinstance(masks, np.ndarray):
+    mask that is not an integer (a bool is not) or has bits beyond dimension
+    ``d``.  The array is int64 up to ``MASK_DIMENSION_CAP`` and holds Python ints above it."""
+    if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):  # checked by dtype
         masks = list(masks)
+        bad = [m for m in masks if type(m) is bool or not isinstance(m, (int, np.integer))]
+        if bad:
+            raise DimensionMismatchError(f"mask {bad[0]!r} is not an integer")
     try:
         arr = np.asarray(masks, dtype=np.int64 if d <= MASK_DIMENSION_CAP else object)
     except OverflowError:  # a mask too wide for int64 is reported below

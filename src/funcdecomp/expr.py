@@ -15,8 +15,8 @@ scalar path must decide, and the scalar path then runs there, in order.
 Expressions and their compositions evaluate a block with numpy, and an
 expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
 An expression evaluates each subtree on the sub-cube of its own varying
-variables, and gathers it to one value per mask only where it outgrows
-the block (see ``_Layout``).
+variables, gathered per mask only where it outgrows the block (see
+``_Layout``); ``^``, ``exp`` and ``ln`` run once per operand value.
 Callables and tables have no block path.  An expression is flattened
 once into a post-order program over one operation table, run by both paths.
 """
@@ -49,10 +49,6 @@ from .core import (
 # set of an expression is a few arrays of this length per tree node,
 # whatever the number of masks.
 MASK_BLOCK = 1 << 16
-# Operands of up to this many values call ^, exp and ln once per value
-# instead of once per distinct value (see _per_operand): a one-variable
-# operand holds 2 values per point, so blocks of up to 32 points do.
-_SHORT = 64
 
 
 class ParseError(ValueError):
@@ -287,12 +283,8 @@ def _per_operand(scalar: Callable[..., float], *operands):
     any shapes that broadcast together, and the result is of their
     broadcast shape, up to leading axes of length 1.
 
-    With one varying operand of more than ``_SHORT`` values it is called
-    once per distinct value: an operand over the variables ``T`` holds at
-    most ``2^|T|`` distinct values per point (``x_j`` alone holds ``x_j``
-    and ``0.0``), however many masks a gathered one repeats them over, so
-    a block costs a few calls instead of one per value.  In short operands
-    finding the repeats costs more than it saves.
+    It is called once per value of the broadcast operands: ``2^|T|`` per
+    point for an operand on the sub-cube of its variables ``T``.
     """
     varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
     if len(varying) > 1:
@@ -302,9 +294,6 @@ def _per_operand(scalar: Callable[..., float], *operands):
     # leading axes changes no value
     shape = operands[varying[0]].shape if varying else ()
     columns = [np.ravel(a) for a in operands]  # one value in a size-1 operand
-    key = slice(None)
-    if len(varying) == 1 and len(columns[varying[0]]) > _SHORT:
-        columns[varying[0]], key = _distinct(columns[varying[0]])
     n = len(columns[varying[0]]) if varying else 1
     values, failed = [], []
     for args in zip(*[c.tolist() if i in varying else c.tolist() * n
@@ -314,22 +303,10 @@ def _per_operand(scalar: Callable[..., float], *operands):
         except EvaluationError:
             failed.append(len(values))
             values.append(math.nan)
-    values = np.array(values, dtype=float)[key].reshape(shape)
+    values = np.array(values, dtype=float).reshape(shape)
     if not failed:
         return values, True
-    return values, np.isin(np.arange(n), failed, invert=True)[key].reshape(shape)
-
-
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a float array, told apart by bit pattern (so
-    ``-0.0`` and ``0.0`` stay apart), and each entry's index into them."""
-    bits = values.view(np.int64)
-    low, high = bits.min(), bits.max()
-    upper = bits == high
-    if (upper | (bits == low)).all():  # at most two values: skip the sort
-        return np.array([low, high]).view(np.float64), upper.astype(np.intp)
-    distinct, index = np.unique(bits, return_inverse=True)
-    return distinct.view(np.float64), index
+    return values, np.isin(np.arange(n), failed, invert=True).reshape(shape)
 
 
 def _divide_batched(a, b):
@@ -466,17 +443,11 @@ class _Layout:
     the start, with length-1 axes for the variables it does not read, and
     nothing moves.  Flags may be narrower than their value, and are
     broadcast to it when the value moves.
-
-    ``lifts`` is the handle's record of each pair of operand axes met so
-    far: their union's axes, and the shape each operand takes there.  It
-    depends on the pair alone, so threads that fill it at once store equal
-    entries.
     """
 
-    def __init__(self, points: int, masks: np.ndarray, lifts: dict) -> None:
-        self.points, self.masks, self.lifts = points, masks, lifts
+    def __init__(self, points: int, masks: np.ndarray) -> None:
+        self.points, self.masks = points, masks
         self.depth = len(masks).bit_length() - 1  # the most axes of a sub-cube
-        self._indices: dict = {}  # per axes, each mask's point of their sub-cube
 
     def join(self, a: tuple, b: tuple) -> tuple:
         """Two stack entries of different axes moved to one layout."""
@@ -486,20 +457,10 @@ class _Layout:
         if own_a == () and _scalar(va):
             return (va, ok_a, own_b), b
         if own_a is not None and own_b is not None:
-            axes, tail_a, tail_b = self.union(own_a, own_b)
+            axes, tail_a, tail_b = _union(own_a, own_b)
             if len(axes) <= self.depth:
                 return (*_lift(va, ok_a, tail_a), axes), (*_lift(vb, ok_b, tail_b), axes)
         return (*self.gather(va, ok_a, own_a), None), (*self.gather(vb, ok_b, own_b), None)
-
-    def union(self, own_a: tuple, own_b: tuple) -> tuple:
-        """The axes of two sub-cubes' union, and each one's shape there
-        after its points axis."""
-        lift = self.lifts.get((own_a, own_b))
-        if lift is None:
-            axes = tuple(sorted({*own_a, *own_b}, reverse=True))
-            lift = self.lifts[own_a, own_b] = (
-                axes, *(tuple(2 if j in own else 1 for j in axes) for own in (own_a, own_b)))
-        return lift
 
     def gather(self, value, ok, axes) -> tuple:
         """A value and its flags on the sub-cube of ``axes`` as one per mask."""
@@ -509,13 +470,17 @@ class _Layout:
             ok = self.gather(np.broadcast_to(ok, value.shape), True, axes)[0]
         if not axes:
             return value.reshape(-1, 1), ok
-        index = self._indices.get(axes)
-        if index is None:
-            index = 0
-            for place, j in enumerate(reversed(axes)):  # j >= place: bit j moves down
-                index = index | (self.masks >> (j - place) & 1 << place)
-            index = self._indices[axes] = np.asarray(index, dtype=np.intp)
-        return value.reshape(self.points, -1)[:, index], ok
+        index = 0
+        for place, j in enumerate(reversed(axes)):  # j >= place: bit j moves down
+            index = index | (self.masks >> (j - place) & 1 << place)
+        return value.reshape(self.points, -1)[:, np.asarray(index, dtype=np.intp)], ok
+
+
+def _union(own_a: tuple, own_b: tuple) -> tuple:
+    """The axes of two sub-cubes' union, and each one's shape there after
+    its points axis."""
+    axes = tuple(sorted({*own_a, *own_b}, reverse=True))
+    return axes, *(tuple(2 if j in own else 1 for j in axes) for own in (own_a, own_b))
 
 
 def _scalar(value) -> bool:
@@ -646,7 +611,6 @@ class ExpressionFunction(FunctionHandle):
         self.label = text
         self._program = _flatten(self.tree)
         self._variables = sorted({step.index for step in self._program if type(step) is Var})
-        self._lifts: dict = {}  # see _Layout
 
     def _evaluate(self, x: Point) -> float:
         return float(_run(self._program, x))
@@ -665,7 +629,7 @@ class ExpressionFunction(FunctionHandle):
         of bits ``k - 1 .. 0``; any other block gathers the root per mask.
         """
         points, n = len(anchors), len(masks)
-        layout = _Layout(points, masks, self._lifts)
+        layout = _Layout(points, masks)
         k = layout.depth
         run = n > 1 and n == 1 << k and masks[0] % n == 0 and (np.diff(masks) == 1).all()
         if run:  # bits k and up are m0's, and every bit below k varies
@@ -690,7 +654,7 @@ class ExpressionFunction(FunctionHandle):
         values, ok, axes = _run_block(self._program, cols, layout.join)
         if run:
             cube = tuple(range(k - 1, -1, -1))
-            values, ok = _lift(values, ok, layout.union(axes, cube)[1])
+            values, ok = _lift(values, ok, _union(axes, cube)[1])
             block = np.empty((points,) + (2,) * k)
         else:
             values, ok = layout.gather(values, ok, axes)

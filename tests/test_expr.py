@@ -391,7 +391,7 @@ def test_batched_evaluation_matches_scalar_path(tree, x, masks):
     fn = expr.ExpressionFunction(format_expression(tree), 3)
     values, error = _scalar_table(fn, x, masks)
     assert error is None or error.startswith("EvaluationError: ")
-    repeated = masks * (expr._SHORT + 1)  # a block long enough to share operands
+    repeated = masks * 65  # a longer block, whose masks repeat
     if error is not None:
         first = len(values)  # the mask the scalar path failed on
         assert _raises(fn, x, masks) == error
@@ -400,8 +400,7 @@ def test_batched_evaluation_matches_scalar_path(tree, x, masks):
         assert _raises(fn, x, repeated) == error
         return
     assert fn.evaluate_table([x], masks)[0].tobytes() == np.array(values).tobytes()
-    assert (fn.evaluate_table([x], repeated)[0].tobytes()
-            == np.array(values * (expr._SHORT + 1)).tobytes())
+    assert fn.evaluate_table([x], repeated)[0].tobytes() == np.array(values * 65).tobytes()
 
 
 # Runs of 2^7 or 2^8 masks at d = 9: x8 and x9 lie beyond the cube axes of
@@ -492,6 +491,12 @@ def _wide_case(d):
                      _wide_masks(d))
 
 
+def _prefix_masks(d, orders, seed):
+    """The distinct prefix masks of seeded orders, sorted."""
+    perms = core.seeded_rng(seed, 0).permuted(np.tile(np.arange(d), (orders, 1)), axis=1)
+    return np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1))
+
+
 # x1^x2 with both operands varying, and the flags of x1 * x10 / (x1 - 0.5),
 # which read x1 alone, under a product that outgrows the block
 _POWER_OF_TWO_VARYING = expr.Bin("*", expr.Bin("^", expr.Var(0), expr.Var(1)), expr.Var(38))
@@ -508,10 +513,24 @@ def _spread_masks(d):
             bits[1], bits[4] | bits[0]]
 
 
+def _gathered_case(text, seed):
+    """``text`` at two points over the 624 prefix masks of 16 seeded orders
+    at d = 40, where a sub-cube has at most 9 axes: a sum of 20 or 40
+    variables reaches ``^``, ``exp`` or ``ln`` as one value per mask, and
+    one of 20 repeats values across masks that agree on its variables."""
+    return 40, expr.parse(text, 40), 2, seed, _prefix_masks(40, 16, seed=4).tolist()
+
+
+_SUM_20, _SUM_40 = (" + ".join(f"x{j}" for j in range(1, d + 1)) for d in (20, 40))
+
+
 @given(st.one_of(_wide_case(40), _wide_case(63), _wide_case(100)))
 @example((40, _POWER_OF_TWO_VARYING, 3, 0, [3, 1 << 38 | 2, 1, 0, 3, 1 << 38]))
 @example((63, _NARROW_FLAGS[63], 2, 21, _spread_masks(63)))  # seed 21: x1 = 0.5 first
 @example((100, _NARROW_FLAGS[100], 2, 21, _spread_masks(100)))
+@example(_gathered_case(f"({_SUM_20})^2", seed=1))
+@example(_gathered_case(f"exp(({_SUM_40})/40)", seed=2))
+@example(_gathered_case(f"ln({_SUM_20})", seed=3))  # non-positive at 231 of 1248 points
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_wide_blocks_match_the_scalar_path(case):
     # d = 40 and 63 have int64 masks, d = 100 object ones; with a few masks
@@ -919,25 +938,66 @@ def test_evaluate_table_raises_the_first_error_in_point_order():
     assert calls == [core.project((1.0, 2.0), m) for m in range(4)]
 
 
+def test_masks_must_be_integers():
+    fn = D2("x1 + 10*x2")
+    # a float was truncated, a bool or a numeric string read as a mask
+    for masks, bad in (([1.5, 2.9], "1.5"), (np.array([1.5, 3.7]), "np.float64(1.5)"),
+                       ([True, False], "True"), (["3"], "'3'"), ([1, None], "None"),
+                       (np.array([False, True]), "np.False_"), ((m for m in [3, 2.0]), "2.0")):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"mask {bad} is not an integer")):
+            fn.evaluate_table([(1.0, 2.0)], masks)
+    for masks in ([1, np.int64(2)], (3,), range(4), np.arange(4), np.array([3], dtype=np.uint8)):
+        want = [fn(core.project((1.0, 2.0), m)) for m in masks]
+        assert fn.evaluate_table([(1.0, 2.0)], masks)[0].tolist() == want
+    # above d = 63 the masks stay Python ints, checked one by one
+    wide = expr.ExpressionFunction("x1 + x70", 70)
+    assert core.validate_masks([1 << 69, np.int64(1)], 70).dtype == object
+    with pytest.raises(DimensionMismatchError, match=r"mask 1\.0 is not an integer"):
+        wide.evaluate_table([(1.0,) * 70], [1 << 69, 1.0])
+    # a bad first point is reported before bad masks
+    with pytest.raises(core.NonFiniteCoordinateError):
+        fn.evaluate_table([(math.nan, 1.0)], [1.5])
+
+
+def _state(value):
+    """A handle's attributes, and those of the handles it holds, as text."""
+    if isinstance(value, expr.FunctionHandle):
+        return {name: _state(v) for name, v in vars(value).items()}
+    if isinstance(value, tuple):
+        return tuple(_state(v) for v in value)
+    return repr(value)
+
+
+def test_evaluating_a_table_leaves_the_handle_unchanged():
+    # handles are immutable, so they may be shared and called concurrently
+    inner = expr.ExpressionFunction("x1*x2^3 - exp(x3/4) + ln(2 + x1^2)", 3)
+    handles = [inner, expr.compose_permutation(inner, (2, 0, 1)),
+               expr.compose_coordinate_maps(inner, [expr.ScaleMap(2.0), expr.OddPowerMap(3.0),
+                                                    expr.ScaleMap(-1.0)]),
+               expr.linear_combine([(2.0, inner), (-1.0, expr.ExpressionFunction("x2*x3", 3))])]
+    for fn in handles:
+        before = _state(fn)
+        for masks in (range(8), [5, 0, 7, 3]):
+            fn.evaluate_table(points(3, 4), masks)
+        assert _state(fn) == before
+
+
 def test_rows_of_whole_tables_are_cubes(monkeypatch):
     # the 16-mask rows of 50 points at d = 4, as an axiom check has them:
     # each operand of ^ and exp holds 2 values of its variable per point,
-    # not 16
+    # not 16; expressions parsed after the patch run the recording operations
     sizes = []
-    monkeypatch.setattr(expr, "_distinct", lambda v, distinct=expr._distinct:
-                        sizes.append(v.size) or distinct(v))
+    for name in ("^", "exp"):
+        operation = expr._OPERATIONS[name]
+        monkeypatch.setitem(expr._OPERATIONS, name, operation._replace(
+            batched=lambda a, *rest, batched=operation.batched:
+            sizes.append(np.size(a)) or batched(a, *rest)))
     fn = expr.ExpressionFunction("x1^3 * x2 + exp(x4)", 4)
     anchors = sample_points(4, 50, -3.0, 3.0, seed=5)
     table = fn.evaluate_table(anchors, range(16))
     assert sizes == [100, 100]
     want = [fn(core.project(x, m)) for x in anchors for m in range(16)]
     assert table.tobytes() == np.array(want).tobytes()
-
-
-def _prefix_masks(d, orders, seed):
-    """The distinct prefix masks of seeded orders, sorted."""
-    perms = core.seeded_rng(seed, 0).permuted(np.tile(np.arange(d), (orders, 1)), axis=1)
-    return np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1))
 
 
 def test_each_operand_of_a_power_holds_only_its_own_sub_cube(monkeypatch):
@@ -1052,7 +1112,7 @@ def test_batched_conventions_zero_power_and_sign():
 
 
 def test_batched_long_block_keeps_signed_zeros_apart():
-    # a long block calls ^ once per distinct operand; -0.0 and 0.0 differ
+    # -0.0 and 0.0 are different operands of ^, each with its own result
     for text, x in (("x1^3", (-0.0,)), ("max(-x1, 0)^3", (2.0,))):
         fn = expr.ExpressionFunction(text, 1)
         masks = [0, 1] * expr.MASK_BLOCK
