@@ -128,9 +128,11 @@ def validate_masks(masks: Iterable[int], d: int) -> np.ndarray:
         arr = np.asarray(masks, dtype=object)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"masks must form a 1-D sequence, got shape {arr.shape}")
-    bad = (arr < 0) | (arr >> d != 0)
+    # an unsigned array is checked as passed, since its cast to int64 may wrap
+    given = masks if isinstance(masks, np.ndarray) and masks.dtype.kind == "u" else arr
+    bad = (given < 0) | (given >> d != 0)
     if bad.any():
-        validate_mask(int(arr[bad.argmax()]), d)
+        validate_mask(int(given[bad.argmax()]), d)
     return arr
 
 

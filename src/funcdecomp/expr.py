@@ -16,7 +16,8 @@ Expressions and their compositions evaluate a block with numpy, and an
 expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
 An expression evaluates each subtree on the sub-cube of its own varying
 variables, gathered per mask only where it outgrows the block (see
-``_Layout``); ``^``, ``exp`` and ``ln`` run once per operand value.
+``_Layout``); ``^``, ``exp`` and ``ln`` make one C call per operand value
+in one ``map``, and run their guarded code only on an operand that raised.
 Callables and tables have no block path.  An expression is flattened
 once into a post-order program over one operation table, run by both paths.
 """
@@ -277,14 +278,16 @@ def _log(t: float) -> float:
     return math.log(t)
 
 
-def _per_operand(scalar: Callable[..., float], *operands):
+def _per_operand(call: Callable[..., float], scalar: Callable[..., float], *operands):
     """``scalar`` applied to each point's operands, NaN where it raises, and
     flags clear there (``True`` if it never does).  The operands may be of
     any shapes that broadcast together, and the result is of their
     broadcast shape, up to leading axes of length 1.
 
-    It is called once per value of the broadcast operands: ``2^|T|`` per
-    point for an operand on the sub-cube of its variables ``T``.
+    ``call``, the C function that ``scalar`` guards, raises exactly where it
+    does and otherwise gives its value.  It runs in one ``map`` once per
+    value of the broadcast operands, ``2^|T|`` per point for an operand on
+    the sub-cube of its variables ``T``; ``scalar`` runs only if it raised.
     """
     varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
     if len(varying) > 1:
@@ -295,17 +298,19 @@ def _per_operand(scalar: Callable[..., float], *operands):
     shape = operands[varying[0]].shape if varying else ()
     columns = [np.ravel(a) for a in operands]  # one value in a size-1 operand
     n = len(columns[varying[0]]) if varying else 1
+    args = [c.tolist() if i in varying else c.tolist() * n for i, c in enumerate(columns)]
+    try:
+        return np.fromiter(map(call, *args), float, n).reshape(shape), True
+    except (ValueError, OverflowError):
+        pass
     values, failed = [], []
-    for args in zip(*[c.tolist() if i in varying else c.tolist() * n
-                      for i, c in enumerate(columns)]):
+    for point in zip(*args):
         try:
-            values.append(scalar(*args))
+            values.append(scalar(*point))
         except EvaluationError:
             failed.append(len(values))
             values.append(math.nan)
     values = np.array(values, dtype=float).reshape(shape)
-    if not failed:
-        return values, True
     return values, np.isin(np.arange(n), failed, invert=True).reshape(shape)
 
 
@@ -335,14 +340,14 @@ _OPERATIONS: dict[str, _Operation] = {
     "-": _Operation(2, operator.sub, _total(np.subtract)),
     "*": _Operation(2, operator.mul, _total(np.multiply)),
     "/": _Operation(2, _divide, _divide_batched),
-    "^": _Operation(2, _power, functools.partial(_per_operand, _power)),
+    "^": _Operation(2, _power, functools.partial(_per_operand, math.pow, _power)),
     _NEGATE: _Operation(1, operator.neg, _total(np.negative)),
     "max": _Operation(2, max, _total(lambda a, b: np.where(np.greater(b, a), b, a))),
     "min": _Operation(2, min, _total(lambda a, b: np.where(np.less(b, a), b, a))),
     "abs": _Operation(1, abs, _total(np.abs)),
     "sign": _Operation(1, _sign, _total(lambda t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0))),
-    "exp": _Operation(1, _exp, functools.partial(_per_operand, _exp)),
-    "ln": _Operation(1, _log, functools.partial(_per_operand, _log)),
+    "exp": _Operation(1, _exp, functools.partial(_per_operand, math.exp, _exp)),
+    "ln": _Operation(1, _log, functools.partial(_per_operand, math.log, _log)),
     "relu": _Operation(1, lambda t: max(t, 0.0),
                        _total(lambda a: np.where(np.less(a, 0.0), 0.0, a))),
 }
@@ -401,11 +406,12 @@ def _run_block(program: tuple, cols: list, join: Callable) -> tuple:
     Every value equals the scalar path's bit for bit: ``+ - * /``, negation
     and ``abs`` round as Python floats do, ``max``/``min``/``relu``/``sign``
     keep Python's tie rules, and ``^``, ``exp`` and ``ln`` call the scalar
-    code.  Each subtree carries its own flags, of at most its shape: ``/``
-    clears them where the divisor is 0, ``^``, ``exp`` and ``ln`` where the
-    call fails, and the rest pass their operands' on.  A non-finite value
-    needs no flag: Python's ``+ - *`` never raise, numpy gives Python's
-    results on inf and NaN, and ``evaluate_table`` re-runs non-finite ones.
+    code's ``math`` functions.  Each subtree carries its own flags, of at
+    most its shape: ``/`` clears them where the divisor is 0, ``^``, ``exp``
+    and ``ln`` where the call fails, and the rest pass their operands' on.
+    A non-finite value needs no flag: Python's ``+ - *`` never raise, numpy
+    gives Python's results on inf and NaN, and ``evaluate_table`` re-runs
+    non-finite ones.
     """
     stack: list = []
     push, pop = stack.append, stack.pop
@@ -592,10 +598,12 @@ class FunctionHandle:
                     values = table[a0:a0 + rows, m0:m0 + width]
                     values[:] = self._evaluate_block(coords[a0:a0 + rows], origin,
                                                      block).reshape(values.shape)
-                    for a, m in np.argwhere(~np.isfinite(values)).tolist():
-                        mask, x = int(block[m]), coords[a0 + a].tolist()
-                        values[a, m] = self._finite_at(
-                            tuple(c if mask >> j & 1 else 0.0 for j, c in enumerate(x)))
+                    unfinished = ~np.isfinite(values)
+                    if unfinished.any():  # argwhere costs more than a clean block's check
+                        for a, m in np.argwhere(unfinished).tolist():
+                            mask, x = int(block[m]), coords[a0 + a].tolist()
+                            values[a, m] = self._finite_at(
+                                tuple(c if mask >> j & 1 else 0.0 for j, c in enumerate(x)))
         if invalid is not None:
             raise invalid
         return table

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcdecomp import core, decomp, expr
-from funcdecomp.axioms import DELTA_STAR, check_A2_permutations, sample_points
+from funcdecomp.axioms import (DELTA_STAR, SuiteConfig, check_A2_permutations, default_corpus,
+                               sample_points)
 from funcdecomp.core import DimensionMismatchError, permutation_from_ranks
 
 from oracles import close
@@ -959,6 +961,20 @@ def test_masks_must_be_integers():
         fn.evaluate_table([(math.nan, 1.0)], [1.5])
 
 
+def test_unsigned_masks_are_named_as_passed():
+    # an unsigned array is checked before its cast to int64, which wraps 2^63
+    for d in (10, 63):
+        fn = expr.ExpressionFunction("x1", d)
+        for masks, bad in (([3, 1 << 63], "0x8000000000000000"), ([1, 1 << d], hex(1 << d))):
+            for given in (masks, np.array(masks, dtype=np.uint64)):
+                with pytest.raises(DimensionMismatchError,
+                                   match=f"^mask {bad} has bits beyond dimension {d}$"):
+                    fn.evaluate_table([(1.0,) * d], given)
+    with pytest.raises(DimensionMismatchError, match="^mask 0x400 has bits beyond dimension 10$"):
+        core.validate_masks(np.array([3, 1 << 10], dtype=np.uint16), 10)
+    assert core.validate_masks(np.array([3, 1 << 9], dtype=np.uint64), 10).tolist() == [3, 512]
+
+
 def _state(value):
     """A handle's attributes, and those of the handles it holds, as text."""
     if isinstance(value, expr.FunctionHandle):
@@ -1025,6 +1041,114 @@ def test_each_operand_of_a_power_holds_only_its_own_sub_cube(monkeypatch):
     points = sample_points(4, 50, -3.0, 3.0, seed=5)
     assert check_A2_permutations(DELTA_STAR, fn, [(2, 0, 3, 1)], points)[0].status == "pass"
     assert sizes == [(100, 1)] * 4
+
+
+# (expression, raising points, clean points): at mask 3 every variable is
+# on, so each operand of ^, exp or ln holds one value per point, and the C
+# call raises at the raising points
+_FALLBACKS = (
+    ("x1 ^ x2", [(-1.0, 0.5), (0.0, -1.0), (10.0, 400.0)], [(2.0, 3.0), (1.5, -2.0), (0.0, 0.0)]),
+    ("exp(x1)", [(1000.0, 0.0), (709.8, 1.0)], [(709.7, 0.0), (-1000.0, 1.0), (0.0, 2.0)]),
+    ("ln(x1)", [(0.0, 1.0), (-0.0, 1.0), (-2.0, 1.0)], [(2.0, 1.0), (1e-300, 1.0), (3.0, 0.5)]),
+    # inf - inf is NaN and x1*1e308*10 is inf: NaN and inf operands that do
+    # not raise, beside values that do
+    ("(x1*1e308*10 - x1*1e308*10) ^ x2", [(-0.0, -1.0)], [(1.0, 0.0), (2.0, 2.0), (0.0, 1.0)]),
+    ("ln(x1*1e308*10 - x1*1e308*10) + ln(x1*1e308*10)", [(-1.0, 0.0), (0.0, 0.0)],
+     [(1.0, 0.0), (2.0, 0.0)]),
+)
+
+
+@pytest.mark.parametrize("text, raising, clean", _FALLBACKS)
+def test_the_guarded_scalar_runs_where_the_c_call_raises(text, raising, clean):
+    fn = expr.ExpressionFunction(text, 2)
+    cases = [clean[:1] + raising[:1] + clean[1:], clean[1:] + raising[:1],  # first, middle, last
+             raising[:1] + clean + raising[1:] + clean[::-1] + raising[1:], clean * 3]
+    for anchors in cases:
+        for masks in ([3], range(4)):
+            want, first = [], None
+            for y in [core.project(x, m) for x in anchors for m in masks]:
+                try:
+                    want.append(fn._evaluate(y))
+                except expr.EvaluationError:
+                    want.append(math.nan)  # NaN exactly where the scalar path raises
+                try:
+                    fn(y)  # raises where the scalar path raises or is not finite
+                except expr.EvaluationError as exc:
+                    first = first or f"EvaluationError: {exc}"
+            with np.errstate(all="ignore"):
+                got = fn._evaluate_block(np.array(anchors), (0.0, 0.0), np.array(masks))
+            assert got.tobytes() == np.array(want).tobytes()
+            assert _table_raises(fn, anchors, masks) == first
+
+
+def test_nan_and_inf_operands_do_not_raise():
+    # nan ^ 0.0 is 1.0, ln(nan) is NaN: the C call's value, kept bit for bit
+    nan, inf = math.nan, math.inf
+    for name, operands in (("^", ([nan, nan, inf, -inf, 0.0], [0.0, 2.0, 2.0, -1.0, nan])),
+                           ("exp", ([nan, inf, -inf],)), ("ln", ([nan, inf],))):
+        operation = expr._OPERATIONS[name]
+        value, ok = operation.batched(*map(np.array, operands))
+        want = [operation.scalar(*args) for args in zip(*operands)]
+        assert ok is True and value.tobytes() == np.array(want).tobytes()
+    assert expr._OPERATIONS["^"].batched(np.array([nan, 1.0]), 0.0)[0].tolist() == [1.0, 1.0]
+
+
+def test_a_clean_table_calls_no_python_code_per_value(monkeypatch):
+    # the guarded scalars of ^, exp and ln, and the scalar re-run, are
+    # counted through _OPERATIONS; expressions parsed after the patch run them
+    guarded, flags, rerun = [], [], []
+    for name in ("^", "exp", "ln"):
+        operation = expr._OPERATIONS[name]
+        call, scalar = operation.batched.args  # the C function, then the scalar it guards
+
+        def counted(*args, scalar=scalar):
+            guarded.append(args)
+            return scalar(*args)
+
+        def recorded(*operands, batched=functools.partial(operation.batched.func, call, counted)):
+            value, ok = batched(*operands)
+            flags.append(ok)
+            return value, ok
+
+        monkeypatch.setitem(expr._OPERATIONS, name, operation._replace(batched=recorded))
+    monkeypatch.setattr(expr.FunctionHandle, "_finite_at",
+                        lambda self, y, finite=expr.FunctionHandle._finite_at:
+                        rerun.append(y) or finite(self, y))
+    text = default_corpus(SuiteConfig())[0].text  # a corpus polynomial of x1^3, x2^2, ...
+    fn = expr.ExpressionFunction(text, 4)
+    anchors = sample_points(4, 50, -3.0, 3.0, seed=5)
+    table = fn.evaluate_table(anchors, range(16))
+    assert guarded == [] and rerun == [] and len(flags) == text.count("^")
+    assert all(ok is True for ok in flags)
+    want = [fn._evaluate(core.project(x, m)) for x in anchors for m in range(16)]
+    assert table.tobytes() == np.array(want).tobytes()
+    # the Python calls of a table do not grow with its values
+    python_calls = []
+    for n in (50, 100):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            fn.evaluate_table(sample_points(4, n, -3.0, 3.0, seed=5), range(16))
+        finally:
+            sys.setprofile(None)
+        python_calls.append(len(calls))
+    assert python_calls[0] == python_calls[1]
+
+    # one failing value of one operand: only that operand goes through the
+    # guarded scalar, and only its value is flagged, at point 7 with x1 on
+    guarded.clear()
+    flags.clear()
+    failing = expr.ExpressionFunction(text + " + (x1 + 3)^0.5", 4)
+    anchors[7, 0] = -3.5
+    with np.errstate(all="ignore"):
+        block = failing._evaluate_block(anchors, (0.0,) * 4, np.arange(16))
+    assert len(guarded) == 100 and guarded[15] == (-0.5, 0.5)
+    [ok] = [ok for ok in flags if ok is not True]
+    assert np.argwhere(~ok).tolist() == [[7, 0, 0, 0, 1]]
+    assert np.isnan(block).nonzero()[0].tolist() == [7 * 16 + m for m in range(1, 16, 2)]
+    with pytest.raises(expr.EvaluationError, match=r"^-0\.5 \^ 0\.5: "):
+        failing.evaluate_table(anchors, range(16))
+    assert rerun == [(-3.5, 0.0, 0.0, 0.0)]
 
 
 def test_a_sampled_block_needs_a_few_tables_of_memory():
