@@ -36,7 +36,7 @@ from .core import (
     validate_tolerance,
 )
 from .expr import EvaluationError, ExpressionFunction, FunctionHandle, ParseError, TableFunction
-from .game import GameFormatError, game_from_json, shapley
+from .game import Game, GameFormatError, game_from_json, mask_ordered_game, shapley
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -328,11 +328,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return _report_rows(args, meta, rows)
 
 
-def _read_game_json(path: str) -> object:
-    with open(path) as fh:
+def _read_game(path: str) -> Game:
+    with open(path, encoding="utf-8", newline="") as fh:  # the file's text as it is
         text = fh.read()
+    game = mask_ordered_game(text)
+    if game is not None:
+        return game
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError:  # an integer of more digits than int() may convert
@@ -340,11 +343,15 @@ def _read_game_json(path: str) -> object:
             f"an integer in the game JSON has more than {sys.get_int_max_str_digits()} "
             "digits; payoffs must be finite numbers"
         ) from None
+    except RecursionError:
+        raise GameFormatError("the game JSON nests too deeply to read") from None
+    del text  # freed before the dict is read
+    return game_from_json(data)
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
-    # the parsed JSON is freed before the kernel runs
-    game = game_from_json(_read_game_json(args.game))
+    # the file's text and parsed JSON are freed before the kernel runs
+    game = _read_game(args.game)
     shares, grand = shapley(game).shares, game.grand_value
     residual = abs(math.fsum(shares) - grand)
     meta = {"method": "shapley", "d": game.d, "game": os.path.basename(args.game)}
@@ -354,8 +361,11 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("corpus spec: the JSON nests too deeply to read") from None
     settings = data  # the spec without its "families" key
     if isinstance(data, dict) and "families" in data:
         settings = {key: value for key, value in data.items() if key != "families"}

@@ -3,11 +3,12 @@ between set-functions and functions on binary points."""
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -205,11 +206,51 @@ def game_from_binary_function(fn: FunctionHandle) -> Game:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"d": int, "values": {"1,3": payoff, ...}} with coalition
-# keys as comma-separated 1-based indices ("" for the empty coalition).
+# keys as comma-separated 1-based indices ("" for the empty coalition).  The
+# text `json.dump` writes of a mask-ordered table is read without its dict.
 
-# Keys per string comparison in `_mask_ordered_payoffs`: the text built at
-# once stays small (a whole d = 18 block would be megabytes).
-_KEY_CHUNK = 1 << 12
+_HEAD = re.compile(r'\{"d": ([1-9][0-9]?), "values": \{')  # EXACT_SUBSET_CAP < 100
+
+
+def mask_ordered_game(text: str) -> Game | None:
+    """The game of a JSON text in `json.dump`'s default layout with the
+    canonical keys in mask order (with or without ``""``); None for any
+    other text, never an error.  A game it returns is the one
+    ``game_from_json(json.loads(text))`` returns.  Split on ``"``, the text
+    alternates keys and separators; NULs (not valid in JSON) joined in
+    between separators count that each is ``": "``, one item and ``", "``.
+    The items are parsed as one array by `json`'s scanner, and keys of
+    digits and commas decode to themselves."""
+    head = _HEAD.match(text)
+    d = int(head[1]) if head else 0
+    if not 1 <= d <= EXACT_SUBSET_CAP:
+        return None
+    keys, separators, n, start = [], [], 0, head.end()
+    while start < len(text):
+        # slices of 2^20 characters, each ending just before the quote that starts the next
+        cut = text.find(', "', start + (1 << 20))
+        end = len(text) if cut < 0 else cut + 2
+        parts = text[start:end].split('"')
+        if parts[0] or len(parts) % 2 == 0:
+            return None
+        keys.append("\n".join([*parts[1::2], ""]))
+        separators.append("\0".join(parts[2::2]))
+        n += len(parts) // 2
+        start = end
+    joined = "\0".join(separators).rstrip(" \t\n\r")
+    del separators
+    if not (joined.startswith(": ") and joined.endswith("}}")
+            and joined.count("\0") == joined.count(", \0: ") == n - 1):
+        return None
+    try:
+        payoffs = json.loads("[" + joined[2:-2].replace(", \0: ", ", ") + "]")
+    except (ValueError, RecursionError):
+        return None
+    del joined
+    values = _mask_ordered("".join(keys), payoffs, d) if len(payoffs) == n else None
+    if values is None or values[0] != 0.0:  # `game_from_json` words the error
+        return None
+    return Game(d, values)
 
 
 def game_from_json(data: Mapping) -> Game:
@@ -248,43 +289,41 @@ def game_from_json(data: Mapping) -> Game:
 
 
 def _mask_ordered_payoffs(raw: Mapping, d: int) -> np.ndarray | None:
-    """The payoffs of a table in mask order, read in one pass; None for any
-    other table, and for one with a payoff that is not a finite int or
-    float, so that `_payoffs_by_key` reads it and words its error.
+    """`_mask_ordered` of a dict's keys and payoffs."""
+    try:
+        keys = "\n".join([*raw, ""])
+    except TypeError:  # a key that is not a string
+        return None
+    return _mask_ordered(keys, raw.values(), d)
 
-    In mask order the key of mask ``2^(i-1)`` is ``"i"`` and that of mask
-    ``2^(i-1) + m``, for ``0 < m < 2^(i-1)``, is the key of mask ``m``
-    with ``",i"`` appended, so each block of keys is checked against the
-    block before it, `_KEY_CHUNK` keys per string comparison; a table in
-    another order stops at its first differing chunk.  Both sides of a
-    comparison join the same number of keys, so a key holding a newline
-    cannot match.
-    """
+
+def _mask_ordered(keys: str, payoffs: Collection, d: int) -> np.ndarray | None:
+    """The payoffs of a table in mask order, given its keys each followed
+    by a newline; None for any other table, and for one with a payoff
+    that is not a finite int or float, so that `_payoffs_by_key` reads it
+    and words its error.
+
+    The key of mask ``2^(i-1)`` is ``"i"`` and that of ``2^(i-1) + m``, for
+    ``0 < m < 2^(i-1)``, that of ``m`` with ``",i"`` appended, so each block
+    of keys is built from the checked text before it; a table in another
+    order stops at its first differing block.  The canonical text has one
+    newline per payoff, so a key holding a newline cannot match."""
     n = 1 << d
-    if len(raw) == n - 1:
-        keys = ["", *raw]
-    elif len(raw) == n:
-        keys = list(raw)
-    else:
+    if len(payoffs) == n - 1:  # the empty coalition left out
+        keys, payoffs = "\n" + keys, [0.0, *payoffs]
+    if len(payoffs) != n or not keys.startswith("\n"):
         return None
-    if keys[0] != "":
-        return None
+    at = 1
     for i in range(1, d + 1):
-        half = 1 << (i - 1)
-        if keys[half] != str(i):
+        # keys[1:at], checked, is the canonical text of masks 1 .. 2^(i-1) - 1
+        block = f"{i}\n" + keys[1:at].replace("\n", f",{i}\n")
+        if not keys.startswith(block, at):
             return None
-        for lo in range(1, half, _KEY_CHUNK):
-            hi = min(lo + _KEY_CHUNK, half)
-            try:
-                if ("\n".join([*keys[lo:hi], ""]).replace("\n", f",{i}\n")
-                        != "\n".join([*keys[half + lo:half + hi], ""])):
-                    return None
-            except TypeError:  # a key that is not a string
-                return None
-    if not {int, float}.issuperset(map(type, raw.values())):
+        at += len(block)
+    if at != len(keys) or not {int, float}.issuperset(map(type, payoffs)):
         return None
     try:
-        values = np.fromiter(chain([] if len(raw) == n else [0.0], raw.values()), float, n)
+        values = np.fromiter(payoffs, float, n)
     except OverflowError:  # an integer beyond the float range
         return None
     return values if np.isfinite(values).all() else None

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from funcdecomp import cli, demo, expr
+from funcdecomp import game as gm
 
 from oracles import all_close
 
@@ -431,6 +432,84 @@ def test_shapley_reads_keys_in_any_spelling(capsys, tmp_path):
     assert run(capsys, "shapley", spelled) == run(capsys, "shapley", canonical)
     code, out, err = run(capsys, "shapley", write_game(tmp_path, {"d": 2, "values": {"1,01": 1}}))
     assert (code, out, err) == (3, "", "error: repeated index in coalition key '1,01'\n")
+
+
+def test_deeply_nested_json_is_one_error_line(capsys, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "game.json"
+    path.write_text('{"d": 1, "values": {"1": ' + deep + "}}")
+    code, out, err = run(capsys, "shapley", str(path))
+    assert (code, out, err) == (3, "", "error: the game JSON nests too deeply to read\n")
+    path = tmp_path / "corpus.json"
+    path.write_text('{"d": 2, "families": ' + deep + "}")
+    code, out, err = run(capsys, "axioms", str(path))
+    assert (code, out, err) == (2, "", "error: corpus spec: the JSON nests too deeply to read\n")
+
+
+def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+    env.pop("PYTHONUTF8", None)
+    (tmp_path / "game.json").write_text('{"d": 1, "values": {"\u00e9": 1}}', encoding="utf-8")
+    (tmp_path / "corpus.json").write_text('{"d": 2, "\u00e9": 1}', encoding="utf-8")
+    # stderr is ASCII here, so the key prints escaped
+    for argv, code, err in [(["shapley", "game.json"], 3, "error: bad coalition key '\\xe9'\n"),
+                            (["axioms", "corpus.json"], 2,
+                             "error: corpus spec: unknown key '\\xe9'\n")]:
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "funcdecomp", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+
+
+def load_perfbench(monkeypatch, name):
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", here / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_game_is_read_without_its_dict(capsys, tmp_path, monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    text = workloads.game_op(np.random.default_rng([1, 0])).files["game.json"]
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    whole, dict_reads = [], []
+
+    def counted(fn, calls, test=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls.append(test(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(json, "loads", counted(json.loads, whole, lambda s, *_: s == text))
+    monkeypatch.setattr(gm, "_payoffs_by_key", counted(gm._payoffs_by_key, dict_reads))
+    monkeypatch.setattr(cli, "game_from_json", counted(cli.game_from_json, dict_reads))
+    code, payload, _ = run_json(capsys, "shapley", str(path))
+    assert (code, whole.count(True), dict_reads) == (0, 0, [])
+    assert payload["d"] == 18
+
+
+def test_every_game_layout_gives_the_same_report(capsys, tmp_path):
+    values = np.random.default_rng(9).uniform(-3, 3, 1 << 7)
+    items = [(gm._coalition_key(m), float(values[m])) for m in range(1, 1 << 7)]
+    shuffled = list(items)
+    np.random.default_rng(2).shuffle(shuffled)
+    texts = [json.dumps({"d": 7, "values": dict(items)}),
+             json.dumps({"d": 7, "values": dict(items)}, separators=(",", ":")),
+             json.dumps({"d": 7, "values": dict(items)}, indent=2),
+             json.dumps({"d": 7, "values": dict(shuffled)})]
+    assert [gm.mask_ordered_game(t) is not None for t in texts] == [True, False, False, False]
+    reports = []
+    for k, text in enumerate(texts):
+        (tmp_path / str(k)).mkdir()
+        path = tmp_path / str(k) / "game.json"
+        path.write_text(text)
+        reports.append(run(capsys, "shapley", str(path), "--format", "json"))
+    assert reports[0][0] == 0
+    assert reports == reports[:1] * len(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -940,12 +1019,7 @@ def test_no_package_path_calls_a_handle_as_a_function(capsys, tmp_path, monkeypa
 def test_every_benchmark_workload_runs_once_and_passes_its_check(tmp_path, monkeypatch):
     # one op of each workload of perfbench/run.py, in process: what the
     # benchmark would count as a failed or incorrect run fails here first
-    here = Path(__file__).resolve().parent.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(here))
-    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look their module up
-    spec.loader.exec_module(bench)
+    bench = load_perfbench(monkeypatch, "run")
     assert bench.WORKLOADS
     for name, workload in bench.WORKLOADS.items():
         op = workload.make(np.random.default_rng([1, 0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcdecomp import cli
 from funcdecomp import game as gm
 from funcdecomp.core import (
     DimensionMismatchError,
@@ -535,8 +537,82 @@ def test_mask_ordered_json_reads_as_the_key_by_key_loop_reads_it(d, with_empty, 
 
     with mock.patch.object(gm, "_mask_ordered_payoffs", return_value=None):
         want = outcome()  # the key-by-key loop alone
-    # keys compared a few at a time as well, so that blocks span several chunks
-    with mock.patch.object(gm, "_KEY_CHUNK", data.draw(st.sampled_from([1, 2, 3, gm._KEY_CHUNK]))):
-        assert outcome() == want
-        if want[0] == "game" and keys_changed == "none":  # the one-pass read was taken
-            assert gm._mask_ordered_payoffs(raw, d) is not None
+    assert outcome() == want
+    if want[0] == "game" and keys_changed == "none":  # the one-pass read was taken
+        assert gm._mask_ordered_payoffs(raw, d) is not None
+
+
+def read_outcome(read):
+    """The game bytes a reader returns, or the type and text of its error."""
+    try:
+        return "game", read().values.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+EDITS = st.sampled_from([*'"{}[],: \n\t\0\\-+.eE0123456789', "NaN", "Infinity", "true", "00",
+                         "1.", "[1]"])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.booleans(), st.sampled_from(["", "\n", " \t\r\n"]), st.data())
+def test_a_game_text_reads_as_json_loads_reads_it(tmp_path_factory, d, with_empty, tail, data):
+    keys = [gm._coalition_key(m) for m in range(0 if with_empty else 1, 1 << d)]
+    payoffs = data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-2 ** 70, 2 ** 70)),
+                                 min_size=len(keys), max_size=len(keys)))
+    if with_empty:
+        payoffs[0] = data.draw(st.sampled_from([0, 0.0, -0.0, 0.5]))
+    for k in data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=2)):
+        payoffs[k] = data.draw(ODD_PAYOFFS)
+    text = json.dumps({"d": d, "values": dict(zip(keys, payoffs))}) + tail
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                                         st.integers(0, len(text)), EDITS), max_size=3))
+    for how, at, token in edits:
+        text = text[:at] + ("" if how == "delete" else token) + text[at + (how != "insert"):]
+    path = tmp_path_factory.getbasetemp() / "game.json"
+    path.write_text(text, encoding="utf-8")
+    want = read_outcome(lambda: gm.game_from_json(json.loads(text)))
+    assert read_outcome(lambda: cli._read_game(str(path))) == want
+    fast = gm.mask_ordered_game(text)
+    if fast is not None:
+        assert want == ("game", fast.values.tobytes())
+    elif not edits:
+        assert want[0] != "game"  # a valid file json.dump wrote takes the new reader
+
+
+def test_a_mask_ordered_text_peaks_no_higher_than_its_dict():
+    d = 16
+    values = np.random.default_rng(5).uniform(-2, 2, 1 << d)
+    text = json.dumps({"d": d, "values": {gm._coalition_key(m): float(values[m])
+                                          for m in range(1, 1 << d)}})
+    tracemalloc.start()
+    try:
+        fast = gm.mask_ordered_game(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert gm.game_from_json(json.loads(text)) == fast
+        dict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fast.values[1:].tolist() == values[1:].tolist()
+    assert peak <= dict_peak
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": 2, "values": {"1\n2\n1,2": 1, 2, 3}}',  # three items after one key
+    '{"d": 1, "values": {"1\nx": 5}}',  # a key holding a raw newline
+    '{"d": 1, "values": {"1\\nx": 5}}',  # and an escaped one
+    '{"d": 1, "values": {"1": 5\0}}',
+    '{"d": 1, "values": {"1": 5, "1": 6}}',
+    '{"d": 1, "values": {"1": "5"}}',
+    '{"d": 1, "values": {"1": [5]}}',
+    '{"d": 1, "values": {"1": 5}, "x": {"1": 6}}',
+    '{"d": 01, "values": {"1": 5}}',
+    '{"d": 21, "values": {"1": 5}}',
+])
+def test_a_text_the_reader_refuses_reads_as_json_loads_reads_it(tmp_path, text):
+    assert gm.mask_ordered_game(text) is None
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert read_outcome(lambda: cli._read_game(str(path))) == \
+        read_outcome(lambda: gm.game_from_json(json.loads(text)))
