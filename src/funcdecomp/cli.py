@@ -92,7 +92,7 @@ def _read_points_csv(path: str, d: int) -> tuple[list[tuple[float, ...]], ValueE
     """The points of a CSV file before its first point that is not finite,
     and the error naming that point's line (None if all are finite)."""
     invalid = None
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = [f"x{i + 1}" for i in range(d)]
@@ -139,7 +139,7 @@ def _parse_mask_key(text: str, d: int) -> int:
 
 
 def _read_mask_table(path: str, d: int) -> dict[int, float]:
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["mask", "value"]:
@@ -361,7 +361,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 
 def _corpus_from_spec_file(path: str) -> tuple[axioms.SuiteConfig, list]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:  # offsets count every character
         try:
             data = json.load(fh)
         except RecursionError:

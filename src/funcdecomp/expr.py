@@ -12,14 +12,14 @@ Every handle evaluates a function on the projected points of many anchors
 through ``evaluate_table``, the only way the package reads a value, whose
 blocks never raise: a block leaves a non-finite value wherever the
 scalar path must decide, and the scalar path then runs there, in order.
-Expressions and their compositions evaluate a block with numpy, and an
-expression flags a point only where ``/``, ``^``, ``exp`` or ``ln`` raise.
-An expression evaluates each subtree on the sub-cube of its own varying
-variables, gathered per mask only where it outgrows the block (see
-``_Layout``); ``^``, ``exp`` and ``ln`` make one C call per operand value
-in one ``map``, and run their guarded code only on an operand that raised.
-Callables and tables have no block path.  An expression is flattened
-once into a post-order program over one operation table, run by both paths.
+Expressions and their compositions evaluate a block with numpy; an
+expression's block is NaN throughout if ``/``, ``^``, ``exp`` or ``ln``
+raise anywhere in it.  An expression evaluates each subtree on the
+sub-cube of its own varying variables, gathered per mask only where it
+outgrows the block (see ``_Layout``); ``^``, ``exp`` and ``ln`` make one
+C call per operand value in one ``map``.  Callables and tables have no
+block path.  An expression is flattened once into a post-order program
+over one operation table, run by both paths.
 """
 
 from __future__ import annotations
@@ -278,17 +278,18 @@ def _log(t: float) -> float:
     return math.log(t)
 
 
-def _per_operand(call: Callable[..., float], scalar: Callable[..., float], *operands):
-    """``scalar`` applied to each point's operands, NaN where it raises, and
-    flags clear there (``True`` if it never does).  The operands may be of
-    any shapes that broadcast together, and the result is of their
-    broadcast shape, up to leading axes of length 1.
+class _Unclean(Exception):
+    """An operation of an expression's block raised somewhere in it."""
 
-    ``call``, the C function that ``scalar`` guards, raises exactly where it
-    does and otherwise gives its value.  It runs in one ``map`` once per
-    value of the broadcast operands, ``2^|T|`` per point for an operand on
-    the sub-cube of its variables ``T``; ``scalar`` runs only if it raised.
-    """
+
+def _per_operand(call: Callable[..., float], *operands):
+    """``call``, a C function of ``math``, applied to each point's operands
+    in one ``map``: once per value of the broadcast operands, ``2^|T|`` per
+    point for an operand on the sub-cube of its variables ``T``.  The
+    operands may be of any shapes that broadcast together, and the result is
+    of their broadcast shape, up to leading axes of length 1.  Raises
+    ``_Unclean`` where ``call`` raises, which is where its scalar guard in
+    ``_OPERATIONS`` raises."""
     varying = [i for i, a in enumerate(operands) if isinstance(a, np.ndarray) and a.size > 1]
     if len(varying) > 1:
         operands = np.broadcast_arrays(*operands)
@@ -300,28 +301,15 @@ def _per_operand(call: Callable[..., float], scalar: Callable[..., float], *oper
     n = len(columns[varying[0]]) if varying else 1
     args = [c.tolist() if i in varying else c.tolist() * n for i, c in enumerate(columns)]
     try:
-        return np.fromiter(map(call, *args), float, n).reshape(shape), True
+        return np.fromiter(map(call, *args), float, n).reshape(shape)
     except (ValueError, OverflowError):
-        pass
-    values, failed = [], []
-    for point in zip(*args):
-        try:
-            values.append(scalar(*point))
-        except EvaluationError:
-            failed.append(len(values))
-            values.append(math.nan)
-    values = np.array(values, dtype=float).reshape(shape)
-    return values, np.isin(np.arange(n), failed, invert=True).reshape(shape)
+        raise _Unclean from None
 
 
 def _divide_batched(a, b):
-    zero = np.equal(b, 0.0)
-    return np.divide(a, b), ~zero if zero.any() else True
-
-
-def _total(batched: Callable[..., "np.ndarray | float"]):
-    """A batched operation whose scalar code is total: no point fails."""
-    return lambda *operands: (batched(*operands), True)
+    if np.equal(b, 0.0).any():
+        raise _Unclean
+    return np.divide(a, b)
 
 
 class _Operation(NamedTuple):
@@ -336,20 +324,19 @@ _NEGATE = "u-"  # unary minus: a key no name token can spell
 # scalar path and its numpy code for the batched path (see _run_block).  The
 # parser reads function arities from here.
 _OPERATIONS: dict[str, _Operation] = {
-    "+": _Operation(2, operator.add, _total(np.add)),
-    "-": _Operation(2, operator.sub, _total(np.subtract)),
-    "*": _Operation(2, operator.mul, _total(np.multiply)),
+    "+": _Operation(2, operator.add, np.add),
+    "-": _Operation(2, operator.sub, np.subtract),
+    "*": _Operation(2, operator.mul, np.multiply),
     "/": _Operation(2, _divide, _divide_batched),
-    "^": _Operation(2, _power, functools.partial(_per_operand, math.pow, _power)),
-    _NEGATE: _Operation(1, operator.neg, _total(np.negative)),
-    "max": _Operation(2, max, _total(lambda a, b: np.where(np.greater(b, a), b, a))),
-    "min": _Operation(2, min, _total(lambda a, b: np.where(np.less(b, a), b, a))),
-    "abs": _Operation(1, abs, _total(np.abs)),
-    "sign": _Operation(1, _sign, _total(lambda t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0))),
-    "exp": _Operation(1, _exp, functools.partial(_per_operand, math.exp, _exp)),
-    "ln": _Operation(1, _log, functools.partial(_per_operand, math.log, _log)),
-    "relu": _Operation(1, lambda t: max(t, 0.0),
-                       _total(lambda a: np.where(np.less(a, 0.0), 0.0, a))),
+    "^": _Operation(2, _power, functools.partial(_per_operand, math.pow)),
+    _NEGATE: _Operation(1, operator.neg, np.negative),
+    "max": _Operation(2, max, lambda a, b: np.where(np.greater(b, a), b, a)),
+    "min": _Operation(2, min, lambda a, b: np.where(np.less(b, a), b, a)),
+    "abs": _Operation(1, abs, np.abs),
+    "sign": _Operation(1, _sign, lambda t: np.greater(t, 0.0) * 1.0 - np.less(t, 0.0)),
+    "exp": _Operation(1, _exp, functools.partial(_per_operand, math.exp)),
+    "ln": _Operation(1, _log, functools.partial(_per_operand, math.log)),
+    "relu": _Operation(1, lambda t: max(t, 0.0), lambda a: np.where(np.less(a, 0.0), 0.0, a)),
 }
 
 
@@ -397,21 +384,19 @@ def _run(program: tuple, x: Sequence[float]) -> float:
 
 def _run_block(program: tuple, cols: list, join: Callable) -> tuple:
     """The values of a program over a block of points, given the coordinate
-    columns (indexed by variable), and flags clear where an operation of
-    the scalar path raises: ``True`` where none does, or a bool array.
-    A column, like every subtree, is a ``(value, flags, axes)`` entry, and
-    ``join`` puts the two operands of a binary operation on one layout
-    (see ``_Layout``).
+    columns (indexed by variable), as a ``(value, axes)`` entry; raises
+    ``_Unclean`` if an operation of the scalar path raises at any point it
+    computes.  A column, like every subtree, is such an entry, and ``join``
+    puts the two operands of a binary operation on one layout (see
+    ``_Layout``).
 
     Every value equals the scalar path's bit for bit: ``+ - * /``, negation
     and ``abs`` round as Python floats do, ``max``/``min``/``relu``/``sign``
     keep Python's tie rules, and ``^``, ``exp`` and ``ln`` call the scalar
-    code's ``math`` functions.  Each subtree carries its own flags, of at
-    most its shape: ``/`` clears them where the divisor is 0, ``^``, ``exp``
-    and ``ln`` where the call fails, and the rest pass their operands' on.
-    A non-finite value needs no flag: Python's ``+ - *`` never raise, numpy
-    gives Python's results on inf and NaN, and ``evaluate_table`` re-runs
-    non-finite ones.
+    code's ``math`` functions.  ``/`` raises where a divisor is 0, and
+    ``^``, ``exp`` and ``ln`` where the call fails.  A non-finite value
+    does not raise: Python's ``+ - *`` never do, numpy gives Python's
+    results on inf and NaN, and ``evaluate_table`` re-runs non-finite ones.
     """
     stack: list = []
     push, pop = stack.append, stack.pop
@@ -420,18 +405,15 @@ def _run_block(program: tuple, cols: list, join: Callable) -> tuple:
         if kind is Var:
             push(cols[step.index])
         elif kind is Num:
-            push((step.value, True, ()))
+            push((step.value, ()))
         elif step.arity == 1:
-            a, ok, axes = pop()
-            value, own = step.batched(a)
-            push((value, own & ok, axes))  # True & True is True: no array made
+            a, axes = pop()
+            push((step.batched(a), axes))
         else:
             right, left = pop(), pop()
-            if left[2] != right[2]:
+            if left[1] != right[1]:
                 left, right = join(left, right)
-            (a, ok_a, axes), (b, ok_b, _) = left, right
-            value, own = step.batched(a, b)
-            push((value, own & ok_a & ok_b, axes))
+            push((step.batched(left[0], right[0]), left[1]))
     return stack[0]
 
 
@@ -447,8 +429,8 @@ class _Layout:
     more than ``log2(masks)`` axes of a sub-cube.  Where all the block's
     varying variables fit in one sub-cube, every column is put on it from
     the start, with length-1 axes for the variables it does not read, and
-    nothing moves.  Flags may be narrower than their value, and are
-    broadcast to it when the value moves.
+    nothing moves.  A sub-cube may hold points that no mask of the block
+    reads; an operation that raises at one of them makes the block unclean.
     """
 
     def __init__(self, points: int, masks: np.ndarray) -> None:
@@ -457,29 +439,27 @@ class _Layout:
 
     def join(self, a: tuple, b: tuple) -> tuple:
         """Two stack entries of different axes moved to one layout."""
-        (va, ok_a, own_a), (vb, ok_b, own_b) = a, b
+        (va, own_a), (vb, own_b) = a, b
         if own_b == () and _scalar(vb):
-            return a, (vb, ok_b, own_a)
+            return a, (vb, own_a)
         if own_a == () and _scalar(va):
-            return (va, ok_a, own_b), b
+            return (va, own_b), b
         if own_a is not None and own_b is not None:
             axes, tail_a, tail_b = _union(own_a, own_b)
             if len(axes) <= self.depth:
-                return (*_lift(va, ok_a, tail_a), axes), (*_lift(vb, ok_b, tail_b), axes)
-        return (*self.gather(va, ok_a, own_a), None), (*self.gather(vb, ok_b, own_b), None)
+                return (_lift(va, tail_a), axes), (_lift(vb, tail_b), axes)
+        return (self.gather(va, own_a), None), (self.gather(vb, own_b), None)
 
-    def gather(self, value, ok, axes) -> tuple:
-        """A value and its flags on the sub-cube of ``axes`` as one per mask."""
+    def gather(self, value, axes):
+        """A value on the sub-cube of ``axes`` as one per mask."""
         if axes is None or _scalar(value):
-            return value, ok
-        if ok is not True:
-            ok = self.gather(np.broadcast_to(ok, value.shape), True, axes)[0]
+            return value
         if not axes:
-            return value.reshape(-1, 1), ok
+            return value.reshape(-1, 1)
         index = 0
         for place, j in enumerate(reversed(axes)):  # j >= place: bit j moves down
             index = index | (self.masks >> (j - place) & 1 << place)
-        return value.reshape(self.points, -1)[:, np.asarray(index, dtype=np.intp)], ok
+        return value.reshape(self.points, -1)[:, np.asarray(index, dtype=np.intp)]
 
 
 def _union(own_a: tuple, own_b: tuple) -> tuple:
@@ -494,15 +474,10 @@ def _scalar(value) -> bool:
     return type(value) is not np.ndarray or value.size == 1
 
 
-def _lift(value, ok, tail: tuple) -> tuple:
-    """A value and its flags on a sub-cube moved to a larger one, where the
-    value takes the shape ``tail`` after its points axis."""
-    if _scalar(value):
-        return value, ok
-    shape = value.shape[:1] + tail
-    if ok is not True:
-        ok = np.broadcast_to(ok, value.shape).reshape(shape)
-    return value.reshape(shape), ok
+def _lift(value, tail: tuple):
+    """A value on a sub-cube moved to a larger one, where it takes the shape
+    ``tail`` after its points axis."""
+    return value if _scalar(value) else value.reshape(value.shape[:1] + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +600,8 @@ class ExpressionFunction(FunctionHandle):
 
     def _evaluate_block(self, anchors: np.ndarray, off: Point, masks: np.ndarray) -> np.ndarray:
         """The program run with numpy over the block's coordinate columns:
-        NaN where an operation of the scalar path raises, else its value.
+        the scalar path's values, or NaN throughout if an operation raises
+        anywhere on the block's sub-cubes, even at a point no mask reads.
 
         Each subtree is evaluated on the sub-cube of its own varying
         variables, or per mask once it outgrows the block (see
@@ -658,16 +634,19 @@ class ExpressionFunction(FunctionHandle):
                 value = np.where(bit, on, off[j])
             else:
                 value = on if every >> j & 1 else off[j]
-            cols[j] = (value, True, axes)
-        values, ok, axes = _run_block(self._program, cols, layout.join)
+            cols[j] = (value, axes)
+        try:
+            values, axes = _run_block(self._program, cols, layout.join)
+        except _Unclean:
+            return np.full(points * n, math.nan)
         if run:
             cube = tuple(range(k - 1, -1, -1))
-            values, ok = _lift(values, ok, _union(axes, cube)[1])
+            values = _lift(values, _union(axes, cube)[1])
             block = np.empty((points,) + (2,) * k)
         else:
-            values, ok = layout.gather(values, ok, axes)
+            values = layout.gather(values, axes)
             block = np.empty((points, n))
-        block[...] = values if ok is True else np.where(ok, values, math.nan)
+        block[...] = values
         return block.reshape(-1)
 
 

@@ -13,6 +13,7 @@ from funcdecomp import cli, demo, expr
 from funcdecomp import game as gm
 
 from oracles import all_close
+from test_expr import _record_blocks
 
 
 def run(capsys, *argv):
@@ -452,13 +453,32 @@ def test_json_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
     env.pop("PYTHONUTF8", None)
     (tmp_path / "game.json").write_text('{"d": 1, "values": {"\u00e9": 1}}', encoding="utf-8")
     (tmp_path / "corpus.json").write_text('{"d": 2, "\u00e9": 1}', encoding="utf-8")
-    # stderr is ASCII here, so the key prints escaped
+    (tmp_path / "points.csv").write_text("x1,x2\n1,2\n3,\u00e9\n", encoding="utf-8")
+    (tmp_path / "table.csv").write_text("mask,value\n,0\n1,1\n2,2\n1+2,\u00e9\n",
+                                        encoding="utf-8")
+    # stderr is ASCII here, so the key or value prints escaped
     for argv, code, err in [(["shapley", "game.json"], 3, "error: bad coalition key '\\xe9'\n"),
                             (["axioms", "corpus.json"], 2,
-                             "error: corpus spec: unknown key '\\xe9'\n")]:
+                             "error: corpus spec: unknown key '\\xe9'\n"),
+                            (["decompose", "-d", "2", "-f", "x1*x2", "--points-csv", "points.csv"],
+                             2, "error: line 3: bad value '\\xe9'\n"),
+                            (["decompose", "-d", "2", "--table-csv", "table.csv", "-x", "1,1"],
+                             3, "error: line 5: bad value '\\xe9'\n")]:
         done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "funcdecomp", *argv],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+
+
+def test_json_errors_name_the_offset_in_the_file_as_written(capsys, tmp_path):
+    # a CRLF line end is two characters of the file, and the offset counts both
+    for command, text in (("shapley", '{"d": 2,\r\n "values": x}'),
+                          ("axioms", '{"d": 2,\r\n "seed": x}')):
+        path = tmp_path / "input.json"
+        path.write_bytes(text.encode())
+        code, out, err = run(capsys, command, str(path))
+        at = text.index("x")
+        assert (code, out) == (2, "")
+        assert err == f"error: Expecting value: line 2 column {at - 9} (char {at})\n"
 
 
 def load_perfbench(monkeypatch, name):
@@ -490,6 +510,22 @@ def test_the_benchmark_game_is_read_without_its_dict(capsys, tmp_path, monkeypat
     code, payload, _ = run_json(capsys, "shapley", str(path))
     assert (code, whole.count(True), dict_reads) == (0, 0, [])
     assert payload["d"] == 18
+
+
+def test_the_benchmark_expressions_take_no_scalar_fallback(tmp_path, monkeypatch):
+    # the first operations of the benchmark's expression workloads: a d = 16
+    # polynomial over its 2^16 masks, the sampler's 32,768-mask calls of
+    # prefix masks at d = 40, and the default axiom suite; every block they
+    # evaluate is clean, so none runs its points through the scalar path
+    workloads = load_perfbench(monkeypatch, "workloads")
+    clean = _record_blocks(monkeypatch)
+    out = str(tmp_path / "report")
+    for make in (workloads.exact_op, workloads.sampled_op, workloads.axioms_op):
+        clean.clear()
+        for op in range(2):
+            argv = make(np.random.default_rng([1, op])).argv
+            assert cli.main([arg.replace("{out}", out) for arg in argv]) == 0
+        assert clean and all(clean)
 
 
 def test_every_game_layout_gives_the_same_report(capsys, tmp_path):

@@ -386,6 +386,70 @@ def _raises(fn, x, masks):
     return None
 
 
+def _check_block(fn, anchors, masks):
+    """The scalar values at the block's (point, mask) pairs, point by point,
+    NaN where the scalar path raises, and the first error of a table of
+    them (None if there is none).
+
+    Asserts the block rule on the block itself, with no scalar re-run to
+    hide a wrong value: it is bit-equal to those values or NaN throughout;
+    NaN throughout if some pair raises; and bit-equal if none does and the
+    masks are an aligned run ``m0 .. m0 + 2^k - 1``, ``m0`` a multiple of
+    ``2^k``, whose masks read every point the block computes.  Bit-equal
+    counts every non-finite value as NaN: ``evaluate_table`` re-runs those,
+    so the sign of a NaN is not kept.
+    """
+    want, first, raises = [], None, False
+    for x in anchors:
+        for m in masks:
+            point = core.project(x, m)
+            try:
+                want.append(fn._evaluate(point))
+            except expr.EvaluationError:
+                want.append(math.nan)
+                raises = True
+            try:
+                fn._finite_at(point)  # raises where the value is not finite, too
+            except expr.EvaluationError as exc:
+                first = first or f"EvaluationError: {exc}"
+    masks = list(masks)
+    with np.errstate(all="ignore"):
+        block = fn._evaluate_block(np.array(anchors), (0.0,) * fn.d,
+                                   core.validate_masks(masks, fn.d))
+    clean = _as_nan(block) == _as_nan(np.array(want))
+    assert clean or np.isnan(block).all()
+    if raises:
+        assert np.isnan(block).all()
+    n = len(masks)
+    if not raises and n & (n - 1) == 0 and masks == list(range(masks[0], masks[0] + n)) \
+            and masks[0] % n == 0:
+        assert clean
+    return want, first
+
+
+def _as_nan(values):
+    """The bytes of the values with every non-finite one made NaN."""
+    return np.where(np.isfinite(values), values, math.nan).tobytes()
+
+
+def _record_blocks(monkeypatch):
+    """A list that gets True for each expression block that is clean and
+    False for each that is not, from now on."""
+    clean = []
+
+    def recorded(program, cols, join, run=expr._run_block):
+        try:
+            entry = run(program, cols, join)
+        except expr._Unclean:
+            clean.append(False)
+            raise
+        clean.append(True)
+        return entry
+
+    monkeypatch.setattr(expr, "_run_block", recorded)
+    return clean
+
+
 @given(_batch_trees, st.tuples(_coordinates, _coordinates, _coordinates),
        st.lists(st.integers(0, 7), min_size=1, max_size=12).map(sorted))
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -441,23 +505,14 @@ def test_aligned_and_unaligned_blocks_match_the_scalar_path(tree, anchors, masks
         assert _table_raises(fn, anchors, masks) == error
     else:
         assert fn.evaluate_table(anchors, masks).tobytes() == np.array(values).tobytes()
-    # the block itself, not the scalar re-run evaluate_table falls back on:
-    # it does not raise, it leaves NaN exactly where the scalar path rejects
-    # the point, and every other value is the scalar one
-    with np.errstate(all="ignore"):
-        block = fn._evaluate_block(np.array(anchors), (0.0,) * 9, np.array(masks))
-    for got, (x, m) in zip(block.tolist(), ((x, m) for x in anchors for m in masks)):
-        try:
-            want = fn(core.project(x, m))
-        except expr.EvaluationError:
-            want = math.nan
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # the block itself, not the scalar re-run evaluate_table falls back on
+    _check_block(fn, anchors, masks)
 
 
 def _wide_trees(d):
     """Sums and products of 3 to 7 small trees over variables anywhere in
     1..d, with powers of one variable to another, and a guarded division
-    whose flags read one variable under a product of others."""
+    whose divisor reads one variable under a product of others."""
     def branch(children):
         return st.one_of(_batch_branch(children), st.tuples(children, st.integers(0, d - 1)).map(
             lambda t: expr.Bin("/", expr.Bin("*", t[0], expr.Var(t[1])),
@@ -499,17 +554,17 @@ def _prefix_masks(d, orders, seed):
     return np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1))
 
 
-# x1^x2 with both operands varying, and the flags of x1 * x10 / (x1 - 0.5),
-# which read x1 alone, under a product that outgrows the block
+# x1^x2 with both operands varying, and x1 * x10 / (x1 - 0.5), whose
+# divisor reads x1 alone, under a product that outgrows the block
 _POWER_OF_TWO_VARYING = expr.Bin("*", expr.Bin("^", expr.Var(0), expr.Var(1)), expr.Var(38))
-_NARROW_FLAGS = {d: expr.Bin("*", expr.Bin(
+_NARROW_DIVISOR = {d: expr.Bin("*", expr.Bin(
     "/", expr.Bin("*", expr.Var(0), expr.Var(9)), expr.Bin("-", expr.Var(0), expr.Num(0.5))),
     expr.Bin("+", expr.Bin("+", expr.Var(d // 2), expr.Var(d - 9)), expr.Var(d - 1)))
     for d in (63, 100)}
 
 
 def _spread_masks(d):
-    """Six masks over the variables of ``_NARROW_FLAGS[d]``, x1 in four."""
+    """Six masks over the variables of ``_NARROW_DIVISOR[d]``, x1 in four."""
     bits = [1 << j for j in (0, 9, d // 2, d - 9, d - 1)]
     return [bits[0] | bits[1], bits[0], bits[2] | bits[4], bits[0] | bits[3] | bits[1],
             bits[1], bits[4] | bits[0]]
@@ -528,8 +583,8 @@ _SUM_20, _SUM_40 = (" + ".join(f"x{j}" for j in range(1, d + 1)) for d in (20, 4
 
 @given(st.one_of(_wide_case(40), _wide_case(63), _wide_case(100)))
 @example((40, _POWER_OF_TWO_VARYING, 3, 0, [3, 1 << 38 | 2, 1, 0, 3, 1 << 38]))
-@example((63, _NARROW_FLAGS[63], 2, 21, _spread_masks(63)))  # seed 21: x1 = 0.5 first
-@example((100, _NARROW_FLAGS[100], 2, 21, _spread_masks(100)))
+@example((63, _NARROW_DIVISOR[63], 2, 21, _spread_masks(63)))  # seed 21: x1 = 0.5 first
+@example((100, _NARROW_DIVISOR[100], 2, 21, _spread_masks(100)))
 @example(_gathered_case(f"({_SUM_20})^2", seed=1))
 @example(_gathered_case(f"exp(({_SUM_40})/40)", seed=2))
 @example(_gathered_case(f"ln({_SUM_20})", seed=3))  # non-positive at 231 of 1248 points
@@ -544,23 +599,8 @@ def test_wide_blocks_match_the_scalar_path(case):
                for _ in range(n)]
     validated = core.validate_masks(masks, d)
     assert validated.dtype == (np.int64 if d <= 63 else object)
-    # the block leaves NaN exactly where the scalar path raises, and every
-    # other value is the scalar one, bit for bit
-    want, first = [], None
-    for x in anchors:
-        for m in masks:
-            point = core.project(x, m)
-            try:
-                want.append(fn._evaluate(point))
-            except expr.EvaluationError as exc:
-                want.append(math.nan)
-                first = first or f"EvaluationError: {exc}"
-            else:
-                if first is None and not math.isfinite(want[-1]):
-                    first = f"EvaluationError: {fn.label} is not finite at {point}: {want[-1]!r}"
-    with np.errstate(all="ignore"):
-        block = fn._evaluate_block(np.array(anchors), (0.0,) * d, validated)
-    assert block.tobytes() == np.array(want).tobytes()
+    # the block is the scalar values, bit for bit, or NaN throughout
+    want, first = _check_block(fn, anchors, masks)
     # and the table raises the scalar path's first error, or is its values
     if first is not None:
         assert _table_raises(fn, anchors, masks) == first
@@ -627,40 +667,21 @@ def test_overflowing_intermediates_match_the_scalar_path(tree, x, masks):
         assert _raises(fn, x, block) == error
         if error is None:
             assert fn.evaluate_table([x], block)[0].tobytes() == np.array(values).tobytes()
-        # the block itself, with no scalar re-run to hide a missing flag: the
-        # scalar value where there is one, and no finite value where it raises
-        with np.errstate(all="ignore"):
-            got = fn._evaluate_block(np.array([x]), (0.0,) * 7, np.array(block))
-        for value, m in zip(got.tolist(), block):
-            try:
-                want = fn(core.project(x, m))
-            except expr.EvaluationError:
-                assert not math.isfinite(value)
-            else:
-                assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        # the block itself: inf and NaN operands raise nothing on their own
+        _check_block(fn, [x], block)
 
 
 def test_a_failure_that_a_later_operation_hides_is_left_nan():
-    # max, sign and min make the failing operation's NaN (or 1/0's inf)
-    # finite again, so only that operation's own flags can mark the point;
-    # relu keeps the NaN of ln
+    # max, sign and min would make the failing operation's NaN (or 1/0's
+    # inf) finite again, so the failing operation itself must leave the
+    # block NaN throughout; relu keeps the NaN of ln
     anchors = [(1.5, 2.0, -0.5, 1.0, 0.25, -2.0, 3.0), (-1.0, 0.0, 0.5, 2.0, 1.0, 0.5, -1.5)]
     for text in ("max(1, ln(x1))", "sign(1/x1)", "relu(-ln(x2))", "min(2, exp(x1*800))"):
         f = expr.ExpressionFunction(text, 7)
         for fn in (f, expr.compose_permutation(f, (6, 5, 4, 3, 2, 1, 0)),
                    expr.linear_combine([(2.0, f)])):
             for masks in (range(128), range(127, -1, -1)):  # a cube, and gathered
-                want, first = [], None
-                for x in anchors:
-                    for m in masks:
-                        try:
-                            want.append(fn(core.project(x, m)))
-                        except expr.EvaluationError as exc:
-                            want.append(math.nan)
-                            first = first or f"EvaluationError: {exc}"
-                with np.errstate(all="ignore"):
-                    got = fn._evaluate_block(np.array(anchors), (0.0,) * 7, np.array(masks))
-                assert got.tobytes() == np.array(want).tobytes()
+                first = _check_block(fn, anchors, masks)[1]
                 assert first is not None and _table_raises(fn, anchors, masks) == first
 
 
@@ -682,25 +703,36 @@ def test_an_overflow_a_later_operation_hides_takes_the_block_value(monkeypatch):
 
 def test_a_block_that_cannot_fail_makes_no_flag_array(monkeypatch):
     # a polynomial of one-sided powers, like the benchmark's: no operation
-    # fails anywhere, so every subtree, and the whole block, has flags True
+    # fails anywhere, so no block is unclean
     fn = expr.ExpressionFunction(
         "2.5 + 0.8*x3^2 - 1.25*max(-x1,0)^3*x7 + 0.5*x2*x9^2*max(x4,0) - x5^3*x6*x8*x10", 10)
     x = (-1.5, 0.7, 1.25, 0.9, -1.1, 0.6, 1.3, -0.8, 1.4, 0.55)
-    flags = []
-
-    def recorded(program, cols, join, run=expr._run_block):
-        values, ok, axes = run(program, cols, join)
-        flags.append(ok)
-        return values, ok, axes
-
-    monkeypatch.setattr(expr, "_run_block", recorded)
+    clean = _record_blocks(monkeypatch)
     # two aligned runs, broadcast to their cubes, and four masks on which
     # the products of the varying variables outgrow the block and are
     # gathered per mask
     for masks in (range(1024), range(512, 1024), [7, 3, 1, 1000]):
         want = np.array([fn(core.project(x, m)) for m in masks])
         assert fn.evaluate_table([x], masks)[0].tobytes() == want.tobytes()
-    assert len(flags) == 3 and all(ok is True for ok in flags)
+    assert clean == [True] * 3
+
+
+def test_a_failure_that_no_mask_reads_leaves_the_values_unchanged(monkeypatch):
+    # a sequential chain sets x3 only with x2, but ln's operand is computed
+    # on the sub-cube of x2 and x3, and with x3 alone on it is 0.5 - x2 <= 0:
+    # the whole block is unclean, and the scalar path gives its values
+    fn = expr.ExpressionFunction("ln(1 + x2 - x3) + x1*x4 - x5*x6*x7 + x8", 8)
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-2.0, 2.0, (1000, 8))
+    points[:, 1] = rng.uniform(0.5, 3.0, 1000)
+    points[:, 2] = points[:, 1] + 0.5
+    chain = [(1 << k) - 1 for k in range(1, 9)]
+    want = np.array([[fn(core.project(x, m)) for m in chain] for x in points.tolist()])
+    clean = _record_blocks(monkeypatch)
+    assert fn.evaluate_table(points, chain).tobytes() == want.tobytes()
+    assert clean == [False]
+    contributions = decomp.sequential_arrays(fn, points).contributions
+    assert contributions.tobytes() == np.diff(want, axis=1, prepend=0.0).tobytes()
 
 
 _MAPS = (expr.ScaleMap(-1.5), expr.ScaleMap(2.0), expr.OddPowerMap(3.0), expr.OddPowerMap(0.5),
@@ -1065,19 +1097,7 @@ def test_the_guarded_scalar_runs_where_the_c_call_raises(text, raising, clean):
              raising[:1] + clean + raising[1:] + clean[::-1] + raising[1:], clean * 3]
     for anchors in cases:
         for masks in ([3], range(4)):
-            want, first = [], None
-            for y in [core.project(x, m) for x in anchors for m in masks]:
-                try:
-                    want.append(fn._evaluate(y))
-                except expr.EvaluationError:
-                    want.append(math.nan)  # NaN exactly where the scalar path raises
-                try:
-                    fn(y)  # raises where the scalar path raises or is not finite
-                except expr.EvaluationError as exc:
-                    first = first or f"EvaluationError: {exc}"
-            with np.errstate(all="ignore"):
-                got = fn._evaluate_block(np.array(anchors), (0.0, 0.0), np.array(masks))
-            assert got.tobytes() == np.array(want).tobytes()
+            first = _check_block(fn, anchors, masks)[1]
             assert _table_raises(fn, anchors, masks) == first
 
 
@@ -1087,30 +1107,30 @@ def test_nan_and_inf_operands_do_not_raise():
     for name, operands in (("^", ([nan, nan, inf, -inf, 0.0], [0.0, 2.0, 2.0, -1.0, nan])),
                            ("exp", ([nan, inf, -inf],)), ("ln", ([nan, inf],))):
         operation = expr._OPERATIONS[name]
-        value, ok = operation.batched(*map(np.array, operands))
+        value = operation.batched(*map(np.array, operands))
         want = [operation.scalar(*args) for args in zip(*operands)]
-        assert ok is True and value.tobytes() == np.array(want).tobytes()
-    assert expr._OPERATIONS["^"].batched(np.array([nan, 1.0]), 0.0)[0].tolist() == [1.0, 1.0]
+        assert value.tobytes() == np.array(want).tobytes()
+    assert expr._OPERATIONS["^"].batched(np.array([nan, 1.0]), 0.0).tolist() == [1.0, 1.0]
 
 
 def test_a_clean_table_calls_no_python_code_per_value(monkeypatch):
-    # the guarded scalars of ^, exp and ln, and the scalar re-run, are
-    # counted through _OPERATIONS; expressions parsed after the patch run them
-    guarded, flags, rerun = [], [], []
+    # the guarded scalars of ^, exp and ln and their batched calls are
+    # counted through _OPERATIONS, and the scalar re-run through _finite_at;
+    # expressions parsed after the patch run them
+    guarded, batched, rerun = [], [], []
     for name in ("^", "exp", "ln"):
         operation = expr._OPERATIONS[name]
-        call, scalar = operation.batched.args  # the C function, then the scalar it guards
 
-        def counted(*args, scalar=scalar):
+        def counted(*args, scalar=operation.scalar):
             guarded.append(args)
             return scalar(*args)
 
-        def recorded(*operands, batched=functools.partial(operation.batched.func, call, counted)):
-            value, ok = batched(*operands)
-            flags.append(ok)
-            return value, ok
+        def recorded(*operands, call=operation.batched):
+            batched.append(operands)
+            return call(*operands)
 
-        monkeypatch.setitem(expr._OPERATIONS, name, operation._replace(batched=recorded))
+        monkeypatch.setitem(expr._OPERATIONS, name,
+                            operation._replace(scalar=counted, batched=recorded))
     monkeypatch.setattr(expr.FunctionHandle, "_finite_at",
                         lambda self, y, finite=expr.FunctionHandle._finite_at:
                         rerun.append(y) or finite(self, y))
@@ -1118,8 +1138,7 @@ def test_a_clean_table_calls_no_python_code_per_value(monkeypatch):
     fn = expr.ExpressionFunction(text, 4)
     anchors = sample_points(4, 50, -3.0, 3.0, seed=5)
     table = fn.evaluate_table(anchors, range(16))
-    assert guarded == [] and rerun == [] and len(flags) == text.count("^")
-    assert all(ok is True for ok in flags)
+    assert guarded == [] and rerun == [] and len(batched) == text.count("^")
     want = [fn._evaluate(core.project(x, m)) for x in anchors for m in range(16)]
     assert table.tobytes() == np.array(want).tobytes()
     # the Python calls of a table do not grow with its values
@@ -1134,21 +1153,17 @@ def test_a_clean_table_calls_no_python_code_per_value(monkeypatch):
         python_calls.append(len(calls))
     assert python_calls[0] == python_calls[1]
 
-    # one failing value of one operand: only that operand goes through the
-    # guarded scalar, and only its value is flagged, at point 7 with x1 on
-    guarded.clear()
-    flags.clear()
+    # one failing value of one operand, at point 7 with x1 on: the block is
+    # NaN throughout, and the scalar path runs point by point up to it
     failing = expr.ExpressionFunction(text + " + (x1 + 3)^0.5", 4)
     anchors[7, 0] = -3.5
     with np.errstate(all="ignore"):
         block = failing._evaluate_block(anchors, (0.0,) * 4, np.arange(16))
-    assert len(guarded) == 100 and guarded[15] == (-0.5, 0.5)
-    [ok] = [ok for ok in flags if ok is not True]
-    assert np.argwhere(~ok).tolist() == [[7, 0, 0, 0, 1]]
-    assert np.isnan(block).nonzero()[0].tolist() == [7 * 16 + m for m in range(1, 16, 2)]
+    assert np.isnan(block).all()
     with pytest.raises(expr.EvaluationError, match=r"^-0\.5 \^ 0\.5: "):
         failing.evaluate_table(anchors, range(16))
-    assert rerun == [(-3.5, 0.0, 0.0, 0.0)]
+    assert len(rerun) == 114 and rerun[-1] == (-3.5, 0.0, 0.0, 0.0)
+    assert rerun == [core.project(x, m) for x in anchors[:8].tolist() for m in range(16)][:114]
 
 
 def test_a_sampled_block_needs_a_few_tables_of_memory():
