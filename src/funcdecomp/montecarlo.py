@@ -5,9 +5,9 @@ Activation orders are drawn uniformly from counter-based random streams:
 the orders of sample chunk ``c`` of a run with seed ``s`` always come from the
 stream ``core.seeded_rng(s, c)``, so the estimate is reproducible bit for bit.
 Chunks only key the streams: F is evaluated once at every distinct prefix
-mask of all the drawn orders, in (first chunk, mask) order, by calls of at
-most half an evaluation block (``expr.MASK_BLOCK // 2`` masks).  Everything
-runs in one thread.
+mask of all the drawn orders, in ascending order, by one ``evaluate_table``
+call, so a failing estimate raises the error of the least failing mask.
+Everything runs in one thread.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (
     seeded_rng,
     validate_dimension,
 )
-from .expr import MASK_BLOCK, FunctionHandle
+from .expr import FunctionHandle
 
 _CHUNK = 256  # samples per random stream; fixed, part of the reproducibility contract
 
@@ -51,38 +51,13 @@ class EstimatorReport:
         return math.fsum(self.estimate)
 
 
-def _distinct_prefixes(prefix: np.ndarray,
-                       d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct masks of ``prefix`` ascending, the order to evaluate them
-    in (by the chunk that first reaches each, then ascending) and, for each
-    prefix, the index of its mask.
-
-    One unstable sort of all the prefixes: a mask's first reach is the least
-    index among its copies, whatever order the sort leaves them in, and a
-    stable sort of those chunk ids over the ascending masks gives the
-    evaluation order.
-    """
-    flat = prefix.ravel()
-    by_mask = np.argsort(flat)
-    ascending = flat[by_mask]
-    new = np.concatenate(([True], ascending[1:] != ascending[:-1]))
-    starts = np.flatnonzero(new)
-    chunk = np.minimum.reduceat(by_mask, starts) // (_CHUNK * d)
-    order = np.argsort(chunk.astype(np.min_scalar_type(chunk.max())), kind="stable")
-    where = np.empty_like(by_mask)
-    where[by_mask] = np.cumsum(new) - 1
-    return ascending[starts], order, where.reshape(prefix.shape)
-
-
 def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over ``n`` sampled orders of the per-step
     changes of F, starting from ``base`` at the origin.
 
-    F is evaluated once at each distinct prefix mask, in (first chunk, mask)
-    order: by the chunk that first reaches it and ascending within that
-    chunk, so the first failing mask is a chunk-by-chunk walk's.  Each call
-    takes at most half an evaluation block of masks.
+    F is evaluated once at each distinct prefix mask, in ascending order and
+    in one call, so the first error is the one at the least failing mask.
     """
     d = fn.d
     if d == 1:
@@ -91,13 +66,11 @@ def _sample(fn: FunctionHandle, point: Point, base: float, n: int,
     perms = np.vstack([seeded_rng(seed, c).permuted(
         np.tile(np.arange(d), (min(_CHUNK, n - start), 1)), axis=1)
         for c, start in enumerate(range(0, n, _CHUNK))])
-    masks, order, where = _distinct_prefixes(
-        np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1), d)
-    values = np.empty(len(masks))
-    # No value depends on the call width; full blocks raised the peak memory.
-    for start in range(0, len(order), MASK_BLOCK // 2):
-        picked = order[start:start + MASK_BLOCK // 2]
-        values[picked] = fn.evaluate_table([point], masks[picked])[0]
+    masks, where = np.unique(np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1),
+                             return_inverse=True)
+    # The inverse's shape varies across NumPy versions.
+    where = where.reshape(perms.shape)
+    values = fn.evaluate_table([point], masks)[0]
     samples = np.empty((n, d))
     np.put_along_axis(samples, perms, np.diff(values[where], axis=1, prepend=base), axis=1)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
@@ -125,7 +98,7 @@ def _estimate(fn: FunctionHandle, x: Sequence[float], n: int, seed: int,
     estimate, se = _sample(fn, point, base, n, seed)
     if split_origin:
         estimate = estimate + base / fn.d
-    return EstimatorReport(tuple(estimate.tolist()), tuple(se.tolist()), n, seed)
+    return EstimatorReport(tuple(estimate.tolist()), tuple(se.tolist()), int(n), seed)
 
 
 def estimate_as(fn: FunctionHandle, x: Sequence[float], n: int, seed: int) -> EstimatorReport:

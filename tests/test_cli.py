@@ -514,7 +514,7 @@ def test_the_benchmark_game_is_read_without_its_dict(capsys, tmp_path, monkeypat
 
 def test_the_benchmark_expressions_take_no_scalar_fallback(tmp_path, monkeypatch):
     # the first operations of the benchmark's expression workloads: a d = 16
-    # polynomial over its 2^16 masks, the sampler's 32,768-mask calls of
+    # polynomial over its 2^16 masks, the sampler's one call of about 71k
     # prefix masks at d = 40, and the default axiom suite; every block they
     # evaluate is clean, so none runs its points through the scalar path
     workloads = load_perfbench(monkeypatch, "workloads")

@@ -1169,9 +1169,11 @@ def test_a_clean_table_calls_no_python_code_per_value(monkeypatch):
 def test_a_sampled_block_needs_a_few_tables_of_memory():
     # no intermediate holds one value per mask for every variable: the peak
     # of one d = 40 table of prefix masks stays a few times the table itself,
-    # for about 9.5k masks and for one of the sampler's 32,768-mask calls
+    # for about 9.5k masks, for 32,768 masks and for the sampler's one call of
+    # about 71k masks at n = 2000, two blocks (4.3 times the table)
     fn = expr.ExpressionFunction(SAMPLED_POLYNOMIAL, 40)
-    for masks in (_prefix_masks(40, 256, seed=3), _prefix_masks(40, 1024, seed=3)[:1 << 15]):
+    for masks in (_prefix_masks(40, 256, seed=3), _prefix_masks(40, 1024, seed=3)[:1 << 15],
+                  _prefix_masks(40, 2000, seed=3)):
         tracemalloc.start()
         try:
             table = fn.evaluate_table([SAMPLED_POINT], masks)
