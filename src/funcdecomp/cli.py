@@ -330,10 +330,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def _read_game(path: str) -> Game:
     with open(path, encoding="utf-8", newline="") as fh:  # the file's text as it is
+        game = mask_ordered_game(fh)
+        if game is not None:
+            return game
+        fh.seek(0)
         text = fh.read()
-    game = mask_ordered_game(text)
-    if game is not None:
-        return game
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -350,7 +351,8 @@ def _read_game(path: str) -> Game:
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
-    # the file's text and parsed JSON are freed before the kernel runs
+    # a file in `json.dump`'s layout is read in pieces; any other file's
+    # text and parsed JSON are freed before the kernel runs
     game = _read_game(args.game)
     shares, grand = shapley(game).shares, game.grand_value
     residual = abs(math.fsum(shares) - grand)

@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -206,51 +206,89 @@ def game_from_binary_function(fn: FunctionHandle) -> Game:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"d": int, "values": {"1,3": payoff, ...}} with coalition
-# keys as comma-separated 1-based indices ("" for the empty coalition).  The
-# text `json.dump` writes of a mask-ordered table is read without its dict.
+# keys as comma-separated 1-based indices ("" for the empty coalition).  A
+# file `json.dump` writes of a mask-ordered table is read in pieces straight
+# into the payoff array, without its whole text or its dict.
 
 _HEAD = re.compile(r'\{"d": ([1-9][0-9]?), "values": \{')  # EXACT_SUBSET_CAP < 100
+_HEAD_CHARS = len('{"d": 20, "values": {')  # the head with a two-digit d
+_PIECE = 1 << 18  # characters read at a time
+_GROUP_BITS = 12  # keys are checked in aligned groups of 2^12 masks
 
 
-def mask_ordered_game(text: str) -> Game | None:
-    """The game of a JSON text in `json.dump`'s default layout with the
-    canonical keys in mask order (with or without ``""``); None for any
-    other text, never an error.  A game it returns is the one
-    ``game_from_json(json.loads(text))`` returns.  Split on ``"``, the text
-    alternates keys and separators; NULs (not valid in JSON) joined in
-    between separators count that each is ``": "``, one item and ``", "``.
-    The items are parsed as one array by `json`'s scanner, and keys of
-    digits and commas decode to themselves."""
+def mask_ordered_game(fh: TextIO) -> Game | None:
+    """The game of an open JSON text file in `json.dump`'s default layout
+    with the canonical keys in mask order (with or without ``""``); None
+    for any other text, never an error.  A game it returns is the one
+    ``game_from_json(json.load(fh))`` returns.
+
+    The text is read in pieces of about `_PIECE` characters, each but the
+    last ending just before a key's quote, so the memory needed is the
+    payoff array plus one piece.  Split on ``"``, a piece alternates keys
+    and separators; NULs (not valid in JSON) joined in between separators
+    count that each is ``": "``, one item and ``", "``.  A piece's items
+    are parsed as one array by `json`'s scanner, and keys of digits and
+    commas decode to themselves.  A text that is not UTF-8 reads None, so
+    that a read of the whole file names the offset of the bad byte."""
+    try:
+        values = _read_mask_ordered(fh)
+    except UnicodeDecodeError:
+        return None
+    if values is None or values[0] != 0.0:  # `game_from_json` words the error
+        return None
+    return Game(values.size.bit_length() - 1, values)
+
+
+def _read_mask_ordered(fh: TextIO) -> np.ndarray | None:
+    text = ""
+    while len(text) < _HEAD_CHARS and (piece := fh.read(min(_PIECE, _HEAD_CHARS - len(text)))):
+        text += piece
     head = _HEAD.match(text)
     d = int(head[1]) if head else 0
     if not 1 <= d <= EXACT_SUBSET_CAP:
         return None
-    keys, separators, n, start = [], [], 0, head.end()
-    while start < len(text):
-        # slices of 2^20 characters, each ending just before the quote that starts the next
-        cut = text.find(', "', start + (1 << 20))
-        end = len(text) if cut < 0 else cut + 2
-        parts = text[start:end].split('"')
+    values, keys, n = np.empty(1 << d), _KeyCheck(d), 0
+    for piece, last in _pieces(fh, text[head.end():]):
+        parts = piece.split('"')
+        m = len(parts) // 2  # the keys in the piece
         if parts[0] or len(parts) % 2 == 0:
             return None
-        keys.append("\n".join([*parts[1::2], ""]))
-        separators.append("\0".join(parts[2::2]))
-        n += len(parts) // 2
-        start = end
-    joined = "\0".join(separators).rstrip(" \t\n\r")
-    del separators
-    if not (joined.startswith(": ") and joined.endswith("}}")
-            and joined.count("\0") == joined.count(", \0: ") == n - 1):
-        return None
-    try:
-        payoffs = json.loads("[" + joined[2:-2].replace(", \0: ", ", ") + "]")
-    except (ValueError, RecursionError):
-        return None
-    del joined
-    values = _mask_ordered("".join(keys), payoffs, d) if len(payoffs) == n else None
-    if values is None or values[0] != 0.0:  # `game_from_json` words the error
-        return None
-    return Game(d, values)
+        separators = "\0".join(parts[2::2])
+        if last:
+            separators = separators.rstrip(" \t\n\r")
+        if not (separators.startswith(": ") and separators.endswith("}}" if last else ", ")
+                and separators.count("\0") == separators.count(", \0: ") == m - 1):
+            return None
+        try:
+            payoffs = json.loads("[" + separators[2:-2].replace(", \0: ", ", ") + "]")
+        except (ValueError, RecursionError):
+            return None
+        if n == 0 and parts[1]:  # the empty coalition left out
+            values[0], n = 0.0, 1
+            keys.feed([""])
+        if len(payoffs) != m or n + m > values.size or not keys.feed(parts[1::2]):
+            return None
+        payoffs = _finite_payoffs(payoffs)
+        if payoffs is None:
+            return None
+        values[n:n + m] = payoffs
+        n += m
+        del piece, parts, separators  # before the next piece is read
+    return values if n == values.size and keys.done() else None
+
+
+def _pieces(fh: TextIO, text: str) -> Iterator[tuple[str, bool]]:
+    """The rest of a file, from the `text` already read on, read `_PIECE`
+    characters at a time and cut just before the quote of the last
+    ``, "`` read; each piece with whether it is the last."""
+    while piece := fh.read(_PIECE):
+        seen = max(len(text) - 2, 0)  # finds a ``, "`` across the seam
+        text += piece
+        cut = text.rfind(', "', seen)
+        if cut >= 0:
+            piece, text = text[:cut + 2], text[cut + 2:]
+            yield piece, False
+    yield text, True
 
 
 def game_from_json(data: Mapping) -> Game:
@@ -289,44 +327,73 @@ def game_from_json(data: Mapping) -> Game:
 
 
 def _mask_ordered_payoffs(raw: Mapping, d: int) -> np.ndarray | None:
-    """`_mask_ordered` of a dict's keys and payoffs."""
+    """The payoffs of a table whose keys are the canonical ones in mask
+    order (with or without ``""``) and whose payoffs are all finite ints and
+    floats; None for any other table, so that `_payoffs_by_key` reads it and
+    words its error."""
+    keys, left_out = _KeyCheck(d), next(iter(raw), "") != ""
+    if left_out:
+        keys.feed([""])
     try:
-        keys = "\n".join([*raw, ""])
+        in_order = len(raw) + left_out == 1 << d and keys.feed(raw) and keys.done()
     except TypeError:  # a key that is not a string
         return None
-    return _mask_ordered(keys, raw.values(), d)
+    payoffs = _finite_payoffs(raw.values()) if in_order else None
+    if payoffs is None or not left_out:
+        return payoffs
+    return np.concatenate(([0.0], payoffs))
 
 
-def _mask_ordered(keys: str, payoffs: Collection, d: int) -> np.ndarray | None:
-    """The payoffs of a table in mask order, given its keys each followed
-    by a newline; None for any other table, and for one with a payoff
-    that is not a finite int or float, so that `_payoffs_by_key` reads it
-    and words its error.
-
-    The key of mask ``2^(i-1)`` is ``"i"`` and that of ``2^(i-1) + m``, for
-    ``0 < m < 2^(i-1)``, that of ``m`` with ``",i"`` appended, so each block
-    of keys is built from the checked text before it; a table in another
-    order stops at its first differing block.  The canonical text has one
-    newline per payoff, so a key holding a newline cannot match."""
-    n = 1 << d
-    if len(payoffs) == n - 1:  # the empty coalition left out
-        keys, payoffs = "\n" + keys, [0.0, *payoffs]
-    if len(payoffs) != n or not keys.startswith("\n"):
-        return None
-    at = 1
-    for i in range(1, d + 1):
-        # keys[1:at], checked, is the canonical text of masks 1 .. 2^(i-1) - 1
-        block = f"{i}\n" + keys[1:at].replace("\n", f",{i}\n")
-        if not keys.startswith(block, at):
-            return None
-        at += len(block)
-    if at != len(keys) or not {int, float}.issuperset(map(type, payoffs)):
+def _finite_payoffs(payoffs: Collection) -> np.ndarray | None:
+    """The payoffs as floats if they are all finite ints and floats; None
+    otherwise."""
+    if not {int, float}.issuperset(map(type, payoffs)):
         return None
     try:
-        values = np.fromiter(payoffs, float, n)
+        values = np.fromiter(payoffs, float, len(payoffs))
     except OverflowError:  # an integer beyond the float range
         return None
     return values if np.isfinite(values).all() else None
+
+
+class _KeyCheck:
+    """Checks the keys of a d-player table, fed in order, against the
+    canonical keys in mask order, one aligned group of ``2^k`` masks at a
+    time, k = min(_GROUP_BITS, d).
+
+    The key of mask ``q 2^k + r``, for ``0 < r < 2^k``, is that of ``r``
+    followed by the indices of ``q 2^k`` (``",13,17"``), so each group's
+    text is built from group 0's; a table in another order stops at its
+    first differing group.  Each key is followed by a newline, and the
+    canonical text has one newline per key: a key holding a newline shows
+    as one key too few, which the caller counts."""
+
+    def __init__(self, d: int) -> None:
+        self.k = min(_GROUP_BITS, d)
+        self.groups = 1 << (d - self.k)
+        base = "\n"
+        for i in range(1, self.k + 1):  # base holds masks 0 .. 2^(i-1) - 1
+            base += f"{i}\n" + base[1:].replace("\n", f",{i}\n")
+        self.base = self.group = base
+        self.q, self.text = 0, ""  # the group being checked; its keys fed so far
+
+    def feed(self, keys: Iterable[str]) -> bool:
+        """Take more keys; False once a group they complete differs."""
+        text = self.text + "\n".join([*keys, ""])
+        at = 0
+        while self.q < self.groups and len(text) - at >= len(self.group):
+            if not text.startswith(self.group, at):
+                return False
+            at += len(self.group)
+            self.q += 1
+            high = _coalition_key(self.q << self.k)
+            self.group = f"{high}\n" + self.base[1:].replace("\n", f",{high}\n")
+        self.text = text[at:]
+        return True
+
+    def done(self) -> bool:
+        """Whether the keys fed are the canonical ones of every mask."""
+        return self.q == self.groups and not self.text
 
 
 def _payoffs_by_key(raw: Mapping, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -537,7 +538,8 @@ def test_every_game_layout_gives_the_same_report(capsys, tmp_path):
              json.dumps({"d": 7, "values": dict(items)}, separators=(",", ":")),
              json.dumps({"d": 7, "values": dict(items)}, indent=2),
              json.dumps({"d": 7, "values": dict(shuffled)})]
-    assert [gm.mask_ordered_game(t) is not None for t in texts] == [True, False, False, False]
+    fast = [gm.mask_ordered_game(io.StringIO(t)) is not None for t in texts]
+    assert fast == [True, False, False, False]
     reports = []
     for k, text in enumerate(texts):
         (tmp_path / str(k)).mkdir()
